@@ -51,28 +51,6 @@ def test_fig11_hospital_slower_than_mimic(once, k_results):
     assert hospital_mean > mimic_mean
 
 
-@pytest.fixture(scope="module")
-def sequential_k10():
-    """The pre-batching reference profile at k=10 (same seed/pipeline)."""
-    return run_vary_k(
-        scale=SMALL,
-        seed=2018,
-        queries_per_point=40,
-        k_grid=(10,),
-        datasets=("hospital-x-like",),
-        batch_phase2=False,
-    )
-
-
-def test_fig11_batched_ed_beats_sequential(once, k_results, sequential_k10):
-    # Register with pytest-benchmark so --benchmark-only
-    # does not skip this shape assertion.
-    once(lambda: None)
-    batched = k_results["hospital-x-like"][10]
-    sequential = sequential_k10["hospital-x-like"][10]
-    assert batched["ED"] + batched["RT"] < sequential["ED"] + sequential["RT"]
-
-
 def test_fig11cd_time_grows_with_query_length(once):
     results = once(
         run_vary_query_length, scale=SMALL, seed=2018, queries_per_point=30

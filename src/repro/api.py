@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 #: surface grows compatibly, the major when anything is removed or
 #: changes shape.  ``tools/check_api.py`` pins the exported surface to
 #: this value.
-API_VERSION = "1.5"
+API_VERSION = "1.6"
 
 #: Lazily resolved re-exports: public name → (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {

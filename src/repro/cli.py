@@ -736,13 +736,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         # Workers mount the compiled artifact read-only via mmap (when
         # one is configured) so N processes share one set of page-cache
-        # pages, and fuse Phase-II decodes across the requests of each
-        # dispatched job.  The pipeline loads once here, pre-fork; the
-        # closure's captures reach the children copy-on-write.
+        # pages.  The pipeline loads once here, pre-fork; the closure's
+        # captures reach the children copy-on-write.
         worker_config = dataclasses.replace(
             runtime.linker,
             mmap_artifact=runtime.linker.artifact_dir is not None,
-            fuse_phase2=True,
         )
         _, ontology, _, _, linker = load_pipeline(args.model, worker_config)
         service = ProcPoolLinkingService(lambda: linker, ontology, config)

@@ -252,16 +252,6 @@ class LinkerConfig:
         is strictly better than an error page.  ``False`` restores
         fail-fast (useful in tests and batch evaluation, where a hidden
         model bug must not be papered over).
-    batch_phase2:
-        Score all Phase-II candidates in one lock-step batched decode
-        (``ComAid.score_batch``: one ``(k, ·)`` matmul per decoder
-        timestep) instead of one candidate at a time.  Rankings, scores
-        (to ≤1e-9), and tie order are identical either way — proven by
-        ``tests/core/test_phase2_batching.py`` — so this is purely a
-        latency knob; ``False`` restores the sequential reference path
-        (also the degraded-mode/test oracle).  Budget semantics are
-        preserved: the deadline is checked per candidate while the
-        batch is assembled and once after the all-or-nothing decode.
     artifact_dir:
         Directory of a compiled concept artifact (``repro compile``).
         When set, the linker loads the artifact (fingerprint-checked
@@ -290,18 +280,6 @@ class LinkerConfig:
         ``tests/serving/test_zero_copy.py`` measures.  Requires a
         format-3 artifact for the zero-copy win (older formats fall
         back to copying with an info log).
-    fuse_phase2:
-        Fuse Phase-II decodes **across queries** of one
-        ``link_batch`` call: all surviving candidates from every query
-        in the batch are scored by a single lock-step ``score_batch``
-        (one GEMM per decode step over the union).  Because
-        ``score_batch`` rows are batch-composition independent (the
-        ``batch_phase2`` invariant), rankings and log-probs are
-        identical to the per-query path to ≤1e-9 — proven by
-        ``tests/core/test_phase2_batching.py`` and the cross-process
-        equivalence suite.  ``False`` (the default) keeps the per-query
-        reference path; the multi-process serving tier turns this on so
-        cross-request micro-batches become one GEMM.
     """
 
     k: int = 20
@@ -314,12 +292,10 @@ class LinkerConfig:
     encoding_cache_size: int = 4096
     phase2_budget_s: float = 0.0
     degrade_on_error: bool = True
-    batch_phase2: bool = True
     artifact_dir: Optional[str] = None
     shards: Union[int, str] = 1
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     mmap_artifact: bool = False
-    fuse_phase2: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.retrieval, Mapping):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.config import LinkerConfig
 from repro.eval.experiments.scale import DEFAULT, ExperimentScale
 from repro.eval.harness import NclPipeline, build_pipeline
 from repro.eval.reporting import emit, format_table
@@ -41,15 +40,12 @@ def _mean_breakdown(breakdowns: Sequence[TimingBreakdown]) -> Dict[str, float]:
     return means
 
 
-def _pipeline_for(
-    scale: ExperimentScale, name: str, generator, batch_phase2: bool = True
-) -> NclPipeline:
+def _pipeline_for(scale: ExperimentScale, name: str, generator) -> NclPipeline:
     dataset = scale.dataset(name, rng=derive_rng(generator, name))
     return build_pipeline(
         dataset,
         model_config=scale.model_config(),
         training_config=scale.training_config(),
-        linker_config=LinkerConfig(batch_phase2=batch_phase2),
         cbow_config=scale.cbow_config(),
         rng=derive_rng(generator, name, "pipeline"),
     )
@@ -62,18 +58,12 @@ def run_vary_k(
     queries_per_point: int = 60,
     datasets: Sequence[str] = DATASETS,
     verbose: bool = True,
-    batch_phase2: bool = True,
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
-    """Figure 11(a,b): per-phase mean seconds per query, per k.
-
-    ``batch_phase2=False`` reruns the figure on the sequential Phase-II
-    reference path — the pre-batching cost model, kept for comparison
-    (see ``phase2_batching.run_phase2_batching`` for the head-to-head).
-    """
+    """Figure 11(a,b): per-phase mean seconds per query, per k."""
     generator = ensure_rng(seed)
     results: Dict[str, Dict[int, Dict[str, float]]] = {}
     for name in datasets:
-        pipeline = _pipeline_for(scale, name, generator, batch_phase2)
+        pipeline = _pipeline_for(scale, name, generator)
         pipeline.linker.warm_cache()  # encoding cache is steady-state
         queries = pipeline.dataset.queries[:queries_per_point]
         per_k: Dict[int, Dict[str, float]] = {}
@@ -106,7 +96,6 @@ def run_vary_query_length(
     queries_per_point: int = 40,
     datasets: Sequence[str] = DATASETS,
     verbose: bool = True,
-    batch_phase2: bool = True,
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Figure 11(c,d): per-phase mean seconds per query, per |q|.
 
@@ -116,7 +105,7 @@ def run_vary_query_length(
     generator = ensure_rng(seed)
     results: Dict[str, Dict[int, Dict[str, float]]] = {}
     for name in datasets:
-        pipeline = _pipeline_for(scale, name, generator, batch_phase2)
+        pipeline = _pipeline_for(scale, name, generator)
         pipeline.linker.warm_cache()
         all_queries = pipeline.dataset.queries
         per_length: Dict[int, Dict[str, float]] = {}

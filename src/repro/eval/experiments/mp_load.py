@@ -170,7 +170,6 @@ def run_mp_load(
             pipeline.linker.config,
             artifact_dir=str(directory),
             mmap_artifact=True,
-            fuse_phase2=True,
         ),
         kb=bundle.kb,
         word_vectors=pipeline.word_vectors,

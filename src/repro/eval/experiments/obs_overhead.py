@@ -222,7 +222,6 @@ def run_obs_overhead_mp(
             pipeline.linker.config,
             artifact_dir=str(directory),
             mmap_artifact=True,
-            fuse_phase2=True,
         ),
         kb=bundle.kb,
         word_vectors=pipeline.word_vectors,

@@ -12,9 +12,9 @@ the forked workers (:mod:`repro.serving.procpool`):
   cares about.
 * **Cross-request fusion** — when a worker frees up, the dispatcher
   packs *several* queued requests into one worker job; the worker's
-  linker runs them as one ``link_batch``, whose ``fuse_phase2`` path
-  turns every in-flight candidate across all fused requests into a
-  single lock-step ``score_batch`` GEMM per decode step.
+  linker runs them as one ``link_batch``, which turns every in-flight
+  candidate across all fused requests into a single lock-step
+  ``score_batch`` GEMM per decode step.
 * **Fault containment** — a worker that dies mid-job (OOM-kill,
   SIGKILL) is detected by its pipe going EOF; the dispatcher respawns
   it and re-dispatches the in-flight job once.  A job that kills two

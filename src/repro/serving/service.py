@@ -5,7 +5,8 @@ HTTP server and :class:`~repro.core.linker.NeuralConceptLinker`:
 
 * every request flows through a :class:`~repro.serving.batcher.MicroBatcher`
   whose single worker serialises model access (determinism under
-  concurrency) and whose coalescing amortises concept encodings;
+  concurrency) and whose coalesced requests share one fused Phase-II
+  decode (``link_batch``);
 * warm-up (``warm_cache`` — pre-encoding the indexed concepts) runs on
   a background thread at start; readiness flips only once it finishes,
   so a load balancer never routes traffic to a cold instance paying
@@ -418,8 +419,8 @@ class ProcPoolLinkingService:
     sheds, fuses, and dispatches (:mod:`repro.serving.frontend`).
 
     ``build_linker`` is invoked *inside each forked child* — it should
-    construct the worker's linker with ``mmap_artifact=True`` and
-    ``fuse_phase2=True`` (the CLI and test fixtures do).  The parent
+    construct the worker's linker with ``mmap_artifact=True`` (the CLI
+    and test fixtures do).  The parent
     never builds a linker; it only needs ``ontology`` to render
     concept descriptions in responses.
 

@@ -1,19 +1,22 @@
 """Equivalence of batched Phase-II scoring with the sequential reference.
 
-The batched decoder (``ComAid.score_batch`` + ``LinkerConfig.
-batch_phase2``) is a numerical refactor of the paper's Eq. 5–9 hot
-path, so every claim ships with a proof against the sequential oracle:
+The linker's one Phase-II path — every candidate of every query in a
+batch scored by a single lock-step decode (``ComAid.score_batch``) — is
+a numerical refactor of the paper's Eq. 5–9 hot path, so every claim
+ships with a proof against the per-candidate oracle
+(``tests/core/phase2_oracle.py``):
 
 * ``score_batch`` log-probs match per-candidate ``score_with_encodings``
   to ≤1e-9 for randomized models (all four ablations × both cells,
   plus a hypothesis sweep over shapes);
-* ``link()`` rankings, scores, keyword scores, and tie order are
-  identical with ``batch_phase2`` on and off;
+* ``link()`` and ``link_batch()`` rankings, scores, keyword scores, and
+  tie order are identical to the oracle's, whatever a query is batched
+  with;
 * heterogeneous candidate sets — different description lengths,
   different ontology depths including Def. 4.1's first-level-duplication
   padding — are masked correctly;
 * the trivially-decodable shortcut (query fully covered by the
-  description) short-circuits to exactly 0.0 on both paths.
+  description) short-circuits to exactly 0.0 on both sides.
 """
 
 import math
@@ -24,15 +27,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.comaid import ComAid
-from repro.core.config import ComAidConfig, LinkerConfig
+from repro.core.config import ComAidConfig, LinkerConfig, ServingConfig
 from repro.core.linker import NeuralConceptLinker
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.ontology.concept import Concept
 from repro.ontology.ontology import Ontology
+from repro.serving.service import LinkingService
 from repro.text.vocab import Vocabulary
 from repro.utils.errors import DataError
 from repro.utils.faults import FaultSpec, fault_injection
 
+from tests.core import phase2_oracle as oracle
 from tests.serving.conftest import make_linker, trained_pipeline  # noqa: F401
 
 TOLERANCE = 1e-9
@@ -192,6 +197,10 @@ def _assert_links_equivalent(batched_result, sequential_result):
         assert batched.keyword_score == sequential.keyword_score
 
 
+def _ranking(result):
+    return [(c.cid, c.keyword_score) for c in result.ranked]
+
+
 class TestLinkerEquivalence:
     QUERIES = [
         "ckd stage 5",
@@ -203,29 +212,28 @@ class TestLinkerEquivalence:
     ]
 
     def test_link_identical_on_off(self, make_linker):
-        batched = make_linker(batch_phase2=True)
-        sequential = make_linker(batch_phase2=False)
+        linker = make_linker()
         for query in self.QUERIES:
             _assert_links_equivalent(
-                batched.link(query), sequential.link(query)
+                linker.link(query), oracle.link(linker, query)
             )
 
     def test_link_batch_identical_on_off(self, make_linker):
-        batched = make_linker(batch_phase2=True)
-        sequential = make_linker(batch_phase2=False)
+        linker = make_linker()
         for batched_result, sequential_result in zip(
-            batched.link_batch(self.QUERIES),
-            sequential.link_batch(self.QUERIES),
+            linker.link_batch(self.QUERIES),
+            oracle.link_batch(linker, self.QUERIES),
         ):
             _assert_links_equivalent(batched_result, sequential_result)
 
     def test_fully_covered_query_scores_exact_zero(self, make_linker):
         # Every query word appears in D50.0's canonical description, so
-        # both paths short-circuit to log p = 0.0 exactly (no decode).
-        for flag in (True, False):
-            result = make_linker(batch_phase2=flag).link(
-                "iron deficiency anemia"
-            )
+        # both sides short-circuit to log p = 0.0 exactly (no decode).
+        linker = make_linker()
+        for result in (
+            linker.link("iron deficiency anemia"),
+            oracle.link(linker, "iron deficiency anemia"),
+        ):
             assert result.rank_of("D50.0") == 1
             top = result.top
             assert top.cid == "D50.0" and top.log_prob == 0.0
@@ -234,21 +242,25 @@ class TestLinkerEquivalence:
         # Keyword-score ties are broken by the stable sort over the
         # Phase-I hit order; the batched path must preserve that order
         # bit-for-bit, not merely the multiset of cids.
-        batched = make_linker(batch_phase2=True)
-        sequential = make_linker(batch_phase2=False)
+        linker = make_linker()
         for query in self.QUERIES:
-            left = [
-                (c.cid, c.keyword_score) for c in batched.link(query).ranked
-            ]
-            right = [
-                (c.cid, c.keyword_score) for c in sequential.link(query).ranked
-            ]
-            assert left == right
+            assert _ranking(linker.link(query)) == _ranking(
+                oracle.link(linker, query)
+            )
+
+    def test_link_is_a_batch_of_one(self, make_linker):
+        # A query's result does not depend on what it is batched with:
+        # alone, as a batch of one, or fused with another query.
+        linker = make_linker()
+        for query, other in zip(self.QUERIES, reversed(self.QUERIES)):
+            alone = linker.link(query)
+            _assert_links_equivalent(alone, linker.link_batch([query])[0])
+            _assert_links_equivalent(
+                alone, linker.link_batch([query, other])[0]
+            )
 
 
-def _heterogeneous_linker(
-    batch_phase2: bool, fuse_phase2: bool = False
-) -> NeuralConceptLinker:
+def _heterogeneous_linker() -> NeuralConceptLinker:
     """A linker whose candidate sets mix ontology depths and description
     lengths: a first-level leaf (Def. 4.1 pads its path by duplicating
     itself), second-level leaves, and a third-level leaf with real
@@ -275,12 +287,7 @@ def _heterogeneous_linker(
         vocab.add_all(concept.words)
     vocab.add_all(["severe", "unexplained"])
     model = ComAid(ComAidConfig(dim=8, beta=2), vocab, rng=29)
-    return NeuralConceptLinker(
-        model,
-        ontology,
-        LinkerConfig(k=10, batch_phase2=batch_phase2, fuse_phase2=fuse_phase2),
-        kb=kb,
-    )
+    return NeuralConceptLinker(model, ontology, LinkerConfig(k=10), kb=kb)
 
 
 class TestHeterogeneousCandidates:
@@ -292,131 +299,141 @@ class TestHeterogeneousCandidates:
     ]
 
     def test_mixed_depths_and_lengths_match_sequential(self):
-        batched = _heterogeneous_linker(batch_phase2=True)
-        sequential = _heterogeneous_linker(batch_phase2=False)
+        linker = _heterogeneous_linker()
         for query in self.QUERIES:
-            batched_result = batched.link(query)
+            batched_result = linker.link(query)
             # The point of the fixture: one candidate set spans depths
             # 1–3 and description lengths 1–6.
             cids = {c.cid for c in batched_result.ranked}
             assert "P00" in cids and "G89.21" in cids
-            _assert_links_equivalent(batched_result, sequential.link(query))
+            _assert_links_equivalent(
+                batched_result, oracle.link(linker, query)
+            )
 
     def test_first_level_duplication_padding(self):
         # P00 has no ancestors; its structural context is <P00, P00, P00>
         # (Def. 4.1).  The batched (k, beta, d) structure memory must
         # reproduce that duplicated block exactly.
-        linker = _heterogeneous_linker(batch_phase2=True)
+        linker = _heterogeneous_linker()
         ancestors = linker._ancestor_encodings("P00")
         assert len(ancestors) == 2
         np.testing.assert_array_equal(ancestors[0].final_h, ancestors[1].final_h)
-        score_batched = linker._phase_two_batched(
-            linker._phase_one("severe pain syndrome", 10), None, 0.0
-        )[0]
-        by_cid = {c.cid: c.log_prob for c in score_batched}
+        result = linker.link("severe pain syndrome")
+        by_cid = {c.cid: c.log_prob for c in result.ranked}
         assert math.isfinite(by_cid["P00"])
         assert abs(
             by_cid["P00"]
-            - linker._score_candidate("P00", ("severe", "pain", "syndrome"))
+            - oracle.score_candidate(
+                linker, "P00", ("severe", "pain", "syndrome")
+            )
         ) <= TOLERANCE
 
 
 class TestFusedPhase2Equivalence:
-    """``LinkerConfig.fuse_phase2``: cross-request Phase-II fusion.
-
-    ``link_batch`` with fusion on runs ONE ``score_batch`` decode over
-    every surviving candidate of every query in the batch — the
-    serving tier's cross-request GEMM.  ``score_batch`` rows are
+    """Cross-query fusion: ``link_batch`` runs ONE ``score_batch`` decode
+    over every surviving candidate of every query in the batch — the
+    serving tiers' cross-request GEMM.  ``score_batch`` rows are
     batch-composition independent (``test_order_invariance``), so the
-    fused results must match the sequential oracle query for query.
+    fused results must match the per-candidate oracle query for query.
     """
 
     QUERIES = TestLinkerEquivalence.QUERIES
 
     def test_link_batch_fused_matches_sequential(self, make_linker):
-        fused = make_linker(batch_phase2=True, fuse_phase2=True)
-        sequential = make_linker(batch_phase2=False)
+        linker = make_linker()
         for fused_result, sequential_result in zip(
-            fused.link_batch(self.QUERIES),
-            sequential.link_batch(self.QUERIES),
+            linker.link_batch(self.QUERIES),
+            oracle.link_batch(linker, self.QUERIES),
         ):
             _assert_links_equivalent(fused_result, sequential_result)
 
     def test_single_query_batch_short_circuits_to_reference(
         self, make_linker
     ):
-        # A one-query batch has nothing to fuse; it must take the
-        # reference path and still agree with it.
-        fused = make_linker(fuse_phase2=True)
-        reference = make_linker()
+        # A one-query batch has nothing to fuse; it runs the same single
+        # decode and must still agree with the reference.
+        linker = make_linker()
         _assert_links_equivalent(
-            fused.link_batch(["ckd stage 5"])[0],
-            reference.link("ckd stage 5"),
+            linker.link_batch(["ckd stage 5"])[0],
+            oracle.link(linker, "ckd stage 5"),
         )
 
     def test_fused_heterogeneous_candidates(self):
-        fused = _heterogeneous_linker(batch_phase2=True, fuse_phase2=True)
-        sequential = _heterogeneous_linker(batch_phase2=False)
+        linker = _heterogeneous_linker()
         queries = TestHeterogeneousCandidates.QUERIES
         for fused_result, sequential_result in zip(
-            fused.link_batch(queries), sequential.link_batch(queries)
+            linker.link_batch(queries), oracle.link_batch(linker, queries)
         ):
             _assert_links_equivalent(fused_result, sequential_result)
 
     def test_fused_decode_is_one_batch_site_hit(self, make_linker):
         # The whole point: N queries, ONE fused decode.
-        fused = make_linker(fuse_phase2=True)
+        linker = make_linker()
         with fault_injection(
             {"linker.phase2.batch": FaultSpec(action="delay", times=0)}
         ) as plan:
-            fused.link_batch(self.QUERIES[:4])
+            linker.link_batch(self.QUERIES[:4])
         assert plan.hits("linker.phase2.batch") == 1
 
     def test_fused_degrades_per_query_not_per_batch(self, make_linker):
-        fused = make_linker(fuse_phase2=True)
-        reference = make_linker()
+        linker = make_linker()
         # Fail the first candidate probe: only the query that owns it
         # degrades; the other rides the fused decode untouched.
         with fault_injection({"linker.phase2": FaultSpec(times=1)}):
-            results = fused.link_batch(["ckd stage 5", "anemia blood loss"])
+            results = linker.link_batch(["ckd stage 5", "anemia blood loss"])
         assert results[0].degraded
         assert results[0].degraded_reason.startswith("error:")
         assert not results[1].degraded
         _assert_links_equivalent(
-            results[1], reference.link("anemia blood loss")
+            results[1], oracle.link(linker, "anemia blood loss")
         )
 
     def test_fused_tie_order_preserved(self, make_linker):
-        fused = make_linker(fuse_phase2=True)
-        sequential = make_linker(batch_phase2=False)
-        left = [
-            [(c.cid, c.keyword_score) for c in result.ranked]
-            for result in fused.link_batch(self.QUERIES)
-        ]
+        linker = make_linker()
+        left = [_ranking(result) for result in linker.link_batch(self.QUERIES)]
         right = [
-            [(c.cid, c.keyword_score) for c in result.ranked]
-            for result in sequential.link_batch(self.QUERIES)
+            _ranking(result)
+            for result in oracle.link_batch(linker, self.QUERIES)
         ]
         assert left == right
 
 
 class TestBatchProbeSite:
-    """The ``faults`` harness's new ``linker.phase2.batch`` site."""
-
-    def test_sequential_path_never_hits_batch_site(self, make_linker):
-        linker = make_linker(batch_phase2=False)
-        with fault_injection(
-            {"linker.phase2.batch": FaultSpec(times=-1)}
-        ) as plan:
-            result = linker.link("ckd stage 5")
-        assert not result.degraded
-        assert plan.hits("linker.phase2.batch") == 0
+    """The ``faults`` harness's ``linker.phase2.batch`` site."""
 
     def test_batched_path_hits_site_once_per_query(self, make_linker):
-        linker = make_linker(batch_phase2=True)
+        linker = make_linker()
         with fault_injection(
             {"linker.phase2.batch": FaultSpec(action="delay", times=0)}
         ) as plan:
             linker.link("ckd stage 5")
             linker.link("anemia blood loss")
         assert plan.hits("linker.phase2.batch") == 2
+
+    def test_service_micro_batch_is_one_decode(self, make_linker):
+        # The threaded tier fuses across requests: N queries coalesced
+        # into one micro-batch share a single decode.
+        queries = TestLinkerEquivalence.QUERIES[:4]
+        linker = make_linker()
+        service = LinkingService(
+            linker,
+            ServingConfig(
+                warm_on_start=False,
+                max_batch_size=len(queries),
+                batch_wait_ms=5000.0,
+            ),
+        )
+        service.start(wait=True)
+        try:
+            with fault_injection(
+                {"linker.phase2.batch": FaultSpec(action="delay", times=0)}
+            ) as plan:
+                results = service.link_many(queries)
+            assert service.snapshot()["counters"]["batches_total"] == 1
+        finally:
+            service.stop()
+        assert plan.hits("linker.phase2.batch") == 1
+        for served, reference in zip(
+            results, oracle.link_batch(linker, queries)
+        ):
+            _assert_links_equivalent(served, reference)

@@ -12,6 +12,7 @@ from repro.engine.shards import ShardFailure, ShardedConceptEngine
 from repro.utils.errors import ConfigurationError, DataError
 from repro.utils.faults import FaultSpec, InjectedFault, fault_injection
 
+from tests.core import phase2_oracle as oracle
 from tests.engine.conftest import ENGINE_QUERIES
 
 SHARD_COUNTS = (1, 2, 4)
@@ -19,7 +20,8 @@ SHARD_COUNTS = (1, 2, 4)
 
 @pytest.fixture(scope="package")
 def baseline_linker(engine_stack):
-    """The runtime-encoding reference the engine must reproduce."""
+    """The runtime-encoding linker whose per-candidate oracle scores
+    (``tests/core/phase2_oracle.py``) the engine must reproduce."""
     ontology, kb, model, _ = engine_stack
     return NeuralConceptLinker(model, ontology, LinkerConfig(k=5), kb=kb)
 
@@ -70,27 +72,6 @@ class TestShardEquivalence:
             got = engine.score_batch([query_ids] * len(cids), cids)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_forced_scatter_matches_whole_batch_scoring(self, engine_stack,
-                                                        artifact, shards):
-        """min_scatter_candidates=0 forces the pool path even for tiny
-        batches; the scattered per-shard decodes must still reproduce
-        the whole-batch scores."""
-        ontology, _, model, _ = engine_stack
-        cids = list(artifact.cids)[:6]
-        query_ids = model.words_to_ids("ckd stage 5".split())
-        batch = [
-            (artifact.encoding_of(cid), artifact.structure_memory_of(cid))
-            for cid in cids
-        ]
-        expected = model.score_batch([query_ids] * len(cids), batch)
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=shards,
-            min_scatter_candidates=0,
-        ) as engine:
-            got = engine.score_batch([query_ids] * len(cids), cids)
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_linker_rankings_identical_to_runtime_encoding(
         self, engine_stack, baseline_linker, shards
@@ -98,7 +79,7 @@ class TestShardEquivalence:
         linker = make_engine_linker(engine_stack, shards)
         try:
             for query in ENGINE_QUERIES:
-                expected = baseline_linker.link(query)
+                expected = oracle.link(baseline_linker, query)
                 got = linker.link(query)
                 assert [c.cid for c in got.ranked] == [
                     c.cid for c in expected.ranked
@@ -145,6 +126,17 @@ class TestShardTopology:
             with pytest.raises(DataError):
                 engine.shard_of("Z99.99")
 
+    def test_score_batch_rejects_unknown_cid(self, engine_stack, artifact):
+        ontology, _, model, _ = engine_stack
+        query_ids = model.words_to_ids("ckd stage 5".split())
+        with ShardedConceptEngine(
+            model, ontology, artifact, shards=2
+        ) as engine:
+            with pytest.raises(DataError, match="Z99.99"):
+                engine.score_batch(
+                    [query_ids, query_ids], [artifact.cids[0], "Z99.99"]
+                )
+
     def test_more_shards_than_concepts_is_rejected(self, engine_stack,
                                                    artifact):
         ontology, _, model, _ = engine_stack
@@ -156,15 +148,6 @@ class TestShardTopology:
     def test_config_requires_artifact_for_sharding(self):
         with pytest.raises(ConfigurationError):
             LinkerConfig(shards=2)
-
-    def test_negative_scatter_threshold_is_rejected(self, engine_stack,
-                                                    artifact):
-        ontology, _, model, _ = engine_stack
-        with pytest.raises(ConfigurationError):
-            ShardedConceptEngine(
-                model, ontology, artifact, shards=2,
-                min_scatter_candidates=-1,
-            )
 
 
 class TestShardFailures:
@@ -206,25 +189,10 @@ class TestShardFailures:
                 with pytest.raises(InjectedFault):
                     engine.score_batch([query_ids], [artifact.cids[0]])
 
-    def test_scoring_failure_propagates_through_the_pool(
-        self, engine_stack, artifact
-    ):
-        """With the scatter forced, future.result() must re-raise the
-        worker's original exception type, not wrap it."""
-        ontology, _, model, _ = engine_stack
-        query_ids = model.words_to_ids("ckd stage 5".split())
-        cids = list(artifact.cids)[:4]
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=2,
-            min_scatter_candidates=0,
-        ) as engine:
-            with fault_injection({"engine.shard.score": FaultSpec(times=-1)}):
-                with pytest.raises(InjectedFault):
-                    engine.score_batch([query_ids] * len(cids), cids)
-
     def test_worker_death_mid_request_degrades_the_linker(self, engine_stack):
-        """A shard worker dying during Phase II must not fail the query:
-        ``degrade_on_error`` serves the Phase-I keyword ranking."""
+        """The engine's Phase-II decode dying mid-request must not fail
+        the query: ``degrade_on_error`` serves the Phase-I keyword
+        ranking."""
         linker = make_engine_linker(engine_stack, shards=4)
         try:
             clean = linker.link("ckd stage 5")

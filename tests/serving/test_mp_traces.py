@@ -69,7 +69,6 @@ def mp_server(trained_pipeline, compiled_artifact):
             k=5,
             artifact_dir=str(compiled_artifact),
             mmap_artifact=True,
-            fuse_phase2=True,
         ),
         kb=kb,
     )

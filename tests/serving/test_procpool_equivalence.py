@@ -20,6 +20,7 @@ from repro.serving.frontend import build_frontend
 from repro.serving.service import ProcPoolLinkingService
 from repro.utils.faults import FaultSpec, fault_injection
 
+from tests.core import phase2_oracle as oracle
 from tests.serving.conftest import SERVING_QUERIES
 
 TOLERANCE = 1e-9
@@ -38,7 +39,8 @@ def _assert_results_equivalent(actual, expected):
 
 @pytest.fixture
 def reference(make_linker, compiled_artifact):
-    """The in-process oracle: same artifact, no mmap, no fusion."""
+    """The in-process reference: same artifact, no mmap.  Equivalence
+    cases score it per candidate (``tests/core/phase2_oracle.py``)."""
     return make_linker(artifact_dir=str(compiled_artifact))
 
 
@@ -49,7 +51,9 @@ class TestWorkerCountInvariance:
     ):
         # One burst of 8 queries arrives at a worker as a single fused
         # link_batch — the cross-request-fusion path runs by construction.
-        expected = [reference.link(query) for query in SERVING_QUERIES]
+        expected = [
+            oracle.link(reference, query) for query in SERVING_QUERIES
+        ]
         service = make_procpool_service(workers=workers).start(wait=True)
         actual = service.link_many(SERVING_QUERIES)
         assert len(actual) == len(expected)
@@ -63,7 +67,7 @@ class TestWorkerCountInvariance:
         service = make_procpool_service(workers=workers).start(wait=True)
         for query in SERVING_QUERIES:
             _assert_results_equivalent(
-                service.link(query), reference.link(query)
+                service.link(query), oracle.link(reference, query)
             )
 
     def test_concurrent_clients_match_reference(
@@ -73,7 +77,8 @@ class TestWorkerCountInvariance:
         # assignment, and dispatcher fusion are all nondeterministic —
         # the rankings must not be.
         expected = {
-            query: reference.link(query) for query in SERVING_QUERIES
+            query: oracle.link(reference, query)
+            for query in SERVING_QUERIES
         }
         service = make_procpool_service(workers=2).start(wait=True)
         failures = []
@@ -125,7 +130,9 @@ class TestForcedCrossRequestFusion:
             for pair, got in zip(pairs, results):
                 assert len(got) == 2
                 for query, result in zip(pair, got):
-                    _assert_results_equivalent(result, reference.link(query))
+                    _assert_results_equivalent(
+                        result, oracle.link(reference, query)
+                    )
         finally:
             frontend.stop()
 
@@ -157,7 +164,9 @@ class TestCacheWarmDivergence:
         # one: a cold worker (lazy fills) and a warmed worker return
         # the same rankings as the warmed in-process reference.
         reference.warm_cache()
-        expected = [reference.link(query) for query in SERVING_QUERIES]
+        expected = [
+            oracle.link(reference, query) for query in SERVING_QUERIES
+        ]
         cold = make_procpool_service(workers=1, warm_on_start=False)
         warm = make_procpool_service(workers=1, warm_on_start=True)
         cold.start(wait=True)
@@ -181,7 +190,6 @@ def equivalence_pair(trained_pipeline, compiled_artifact):
             k=5,
             artifact_dir=str(compiled_artifact),
             mmap_artifact=True,
-            fuse_phase2=True,
         ),
         kb=kb,
     )
@@ -224,4 +232,6 @@ def test_property_any_burst_any_k_matches_reference(
     queries = [SERVING_QUERIES[index] for index in indices]
     actual = service.link_many(queries, k=k)
     for query, result in zip(queries, actual):
-        _assert_results_equivalent(result, reference.link(query, k=k))
+        _assert_results_equivalent(
+            result, oracle.link(reference, query, k=k)
+        )

@@ -7,7 +7,6 @@
 #
 #   tools/run_tier1.sh                 # lints + fast suite only
 #   tools/run_tier1.sh --faults        # ... + fault drills
-#   tools/run_tier1.sh --bench-phase2  # ... + batching benchmark
 #   tools/run_tier1.sh --bench-obs     # ... + tracing-overhead benchmark
 #   tools/run_tier1.sh --bench-obs-mp  # ... + cross-process tracing overhead
 #   tools/run_tier1.sh --bench-shard   # ... + shard-engine benchmark
@@ -28,10 +27,6 @@ for arg in "$@"; do
         --faults)
             echo "== fault-injection drills =="
             python -m pytest -q -m faults
-            ;;
-        --bench-phase2)
-            echo "== Phase-II batching benchmark (writes BENCH_phase2.json) =="
-            python -m pytest -q benchmarks/test_phase2_batching.py
             ;;
         --bench-obs)
             echo "== tracing overhead benchmark (writes BENCH_obs.json) =="
@@ -62,7 +57,7 @@ for arg in "$@"; do
             python -m pytest -q benchmarks/test_tenant_serving.py
             ;;
         *)
-            echo "unknown flag: $arg (expected --faults, --bench-phase2, --bench-obs, --bench-obs-mp, --bench-shard, --bench-retrieval, --bench-lifecycle, --bench-mp and/or --bench-tenant)" >&2
+            echo "unknown flag: $arg (expected --faults, --bench-obs, --bench-obs-mp, --bench-shard, --bench-retrieval, --bench-lifecycle, --bench-mp and/or --bench-tenant)" >&2
             exit 2
             ;;
     esac

@@ -481,22 +481,27 @@ class ComAid(Module):
         query-word ids (possibly distinct per candidate — the linker
         removes the words each candidate's canonical description shares
         with the query).  Returns the ``(k,)`` vector of
-        ``log p(q_j | c_j)``, matching the sequential method per row to
-        floating-point round-off.
+        ``log p(q_j | c_j)`` in the caller's row order, matching the
+        sequential method per row to floating-point round-off.
 
         All k decodes advance in lock-step: one ``(k, ·)`` matmul per
         decoder timestep instead of k mat-vecs (the trick seq2seq
-        serving stacks use for beam scoring).  Text attention (Eq. 5-6)
-        is masked over each candidate's true description length;
-        structure attention (Eq. 7) runs over the ``(k, β, d)`` ancestor
-        block — Def. 4.1's first-level duplication already pads every
-        ancestor path to exactly β, so no mask is needed there.
-        Candidates whose ⟨query, eos⟩ sequence is shorter than the batch
-        maximum stop accumulating log-probability after their final
-        step; the trailing steps run on ``<pad>`` inputs and are
-        discarded.  Inference-only: no caches are kept and no gradients
-        flow — training and the equivalence-test oracle stay on the
-        sequential :meth:`_decode`.
+        serving stacks use for beam scoring).  Rows are stable-sorted
+        by decode length, longest first, so at step t the rows whose
+        ⟨query, eos⟩ sequence is still running are a prefix of the
+        batch: the step runs embedding → recurrent step → attentions →
+        composite → output on that prefix only, and a row leaves the
+        batch after its last step — no row ever decodes a ``<pad>``.
+        Text attention (Eq. 5-6) is masked over each candidate's true
+        description length; structure attention (Eq. 7) runs over the
+        ``(k, β, d)`` ancestor block — Def. 4.1's first-level
+        duplication already pads every ancestor path to exactly β, so
+        no mask is needed there.  Each step reads only the target
+        entry of the ``|V|``-wide softmax
+        (:func:`~repro.nn.functional.batched_target_log_probs`).
+        Inference-only: no caches are kept and no gradients flow —
+        training and the equivalence-test oracle stay on the sequential
+        :meth:`_decode`.
 
         A candidate's ancestors may be given either as the usual
         sequence of :class:`ConceptEncoding` (runtime encoding path) or
@@ -517,64 +522,73 @@ class ComAid(Module):
             raise DataError("cannot score an empty query")
         size = len(candidates)
         dim = self.config.dim
-        concepts = [concept for concept, _ in candidates]
-        h = np.stack([concept.final_h for concept in concepts])
-        c = np.stack([concept.final_c for concept in concepts])
+        # Longest decode first; the stable sort keeps equal lengths in
+        # the caller's order.  live[t] = rows still decoding at step t.
+        lengths = np.asarray([len(query) + 1 for query in queries])
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        steps = np.arange(lengths[0])
+        live = np.count_nonzero(lengths[:, None] > steps, axis=0).tolist()
+        # targets[b, t] is the word row b predicts at step t (its query,
+        # then <eos>); the input at step t is <bos>, then the previous
+        # target.  Entries past a row's last step are never read.
+        targets = np.full(
+            (size, steps.size), self.vocab.eos_id, dtype=np.intp
+        )
+        targets[steps < lengths[:, None] - 1] = [
+            word for row in order for word in queries[row]
+        ]
+        input_ids = np.empty_like(targets)
+        input_ids[:, 0] = self.vocab.bos_id
+        input_ids[:, 1:] = targets[:, :-1]
+        concepts = [candidates[row][0] for row in order]
+        h = np.array([concept.final_h for concept in concepts])
+        c = np.array([concept.final_c for concept in concepts])
         text_memory: Optional[np.ndarray] = None
         text_mask: Optional[np.ndarray] = None
         if self.config.use_text_attention:
-            lengths = [concept.states.shape[0] for concept in concepts]
-            width = max(lengths)
-            text_memory = np.zeros((size, width, dim))
-            text_mask = np.zeros((size, width), dtype=bool)
-            for row, concept in enumerate(concepts):
-                text_memory[row, : lengths[row]] = concept.states
-                text_mask[row, : lengths[row]] = True
+            states = [concept.states for concept in concepts]
+            widths = np.asarray([memory.shape[0] for memory in states])
+            text_mask = np.arange(widths.max()) < widths[:, None]
+            text_memory = np.zeros(text_mask.shape + (dim,))
+            text_memory[text_mask] = np.concatenate(states)
         struct_memory: Optional[np.ndarray] = None
         if self.config.use_structure_attention:
-            struct_memory = np.stack(
+            struct_memory = np.array(
                 [
-                    self._candidate_structure_memory(ancestors)
-                    for _, ancestors in candidates
+                    self._candidate_structure_memory(candidates[row][1])
+                    for row in order
                 ]
             )
-        input_ids = [[self.vocab.bos_id] + query for query in queries]
-        targets = [query + [self.vocab.eos_id] for query in queries]
-        steps = max(len(sequence) for sequence in targets)
-        pad = self.vocab.pad_id
-        log_probs = np.zeros(size)
-        for t in range(steps):
-            step_ids = [
-                sequence[t] if t < len(sequence) else pad
-                for sequence in input_ids
-            ]
-            x = self.embedding.forward(step_ids)
-            h, c = self.decoder.cell.step_batch(x, h, c)
+        sorted_log_probs = np.zeros(size)
+        weight_t = self.output.weight.value.T
+        bias = self.output.bias.value
+        # One logits buffer per call, reused by every step: a fresh
+        # (rows, |V|) temporary per step costs more in page faults than
+        # the exp over it.
+        logits_buffer = np.empty((size, bias.shape[0]))
+        for t, rows in enumerate(live):
+            x = self.embedding.forward(input_ids[:rows, t])
+            h, c = self.decoder.cell.step_batch(x, h[:rows], c[:rows])
             parts = [h]
             if text_memory is not None:
                 contexts, _ = self.text_attention.forward_batch(
-                    h, text_memory, text_mask
+                    h, text_memory[:rows], text_mask[:rows]
                 )
                 parts.append(contexts)
             if struct_memory is not None:
                 contexts, _ = self.structure_attention.forward_batch(
-                    h, struct_memory
+                    h, struct_memory[:rows]
                 )
                 parts.append(contexts)
             s_tilde = tanh(self.composite.forward(np.concatenate(parts, axis=1)))
-            logits = self.output.forward(s_tilde)
-            step_targets = np.asarray(
-                [
-                    sequence[t] if t < len(sequence) else 0
-                    for sequence in targets
-                ],
-                dtype=np.intp,
+            logits = np.matmul(s_tilde, weight_t, out=logits_buffer[:rows])
+            logits += bias
+            sorted_log_probs[:rows] += batched_target_log_probs(
+                logits, targets[:rows, t]
             )
-            step_log_probs = batched_target_log_probs(logits, step_targets)
-            active = np.asarray(
-                [t < len(sequence) for sequence in targets], dtype=bool
-            )
-            log_probs[active] += step_log_probs[active]
+        log_probs = np.empty(size)
+        log_probs[order] = sorted_log_probs
         return log_probs
 
     # -- generation ---------------------------------------------------------

@@ -567,6 +567,7 @@ class NeuralConceptLinker:
                 start = len(pending_owner)
                 with prepared.timer.phase("ED"), trace.attach(ed_span):
                     try:
+                        scoring = self._scoring_tokens(prepared.rewritten)
                         for index, (cid, _) in enumerate(hits):
                             probe("linker.phase2")
                             if (
@@ -578,9 +579,7 @@ class NeuralConceptLinker:
                                     f"after {index}/{len(hits)} candidates"
                                 )
                                 break
-                            effective = self._effective_tokens(
-                                cid, prepared.rewritten
-                            )
+                            effective = self._effective_tokens(cid, scoring)
                             if effective is None:
                                 log_probs[qi][index] = 0.0
                             else:
@@ -713,10 +712,8 @@ class NeuralConceptLinker:
             degraded_reason=reason,
         )
 
-    def _effective_tokens(
-        self, cid: str, query_tokens: Sequence[str]
-    ) -> Optional[List[str]]:
-        """The query words Phase II actually decodes against ``cid``.
+    def _scoring_tokens(self, query_tokens: Sequence[str]) -> List[str]:
+        """The query words Phase II may decode, for any candidate.
 
         With ``score_omega_only`` (default), words outside the scoring
         vocabulary (Ω plus knowledge-base alias words — the decoder's
@@ -725,10 +722,28 @@ class NeuralConceptLinker:
         the concepts (a clinical decoration), and its decode probability
         is untrained noise that differs arbitrarily across candidates.
         Numeric tokens are always kept — stage/type numbers are
-        load-bearing.
+        load-bearing.  When nothing survives, every token is kept.  The
+        filter depends on the query alone, so it runs once per query.
+        """
+        tokens = list(query_tokens)
+        if not self.config.score_omega_only:
+            return tokens
+        vocabulary = self._scoring_vocabulary
+        kept = [
+            token
+            for token in tokens
+            if token in vocabulary or any(char.isdigit() for char in token)
+        ]
+        return kept or tokens
 
-        Then, per Section 5 Phase II, words appearing in both the
-        canonical description and the query are temporarily removed
+    def _effective_tokens(
+        self, cid: str, scoring_tokens: Sequence[str]
+    ) -> Optional[List[str]]:
+        """The query words Phase II actually decodes against ``cid``.
+
+        ``scoring_tokens`` is the query after :meth:`_scoring_tokens`.
+        Per Section 5 Phase II, words appearing in both the canonical
+        description and the query are temporarily removed
         (``remove_shared_words``): shared words are trivially decodable,
         so scoring concentrates on the discrepant words.  Returns
         ``None`` when no word survives — the query is fully covered by
@@ -736,16 +751,7 @@ class NeuralConceptLinker:
         without running the model.
         """
         concept = self.ontology.get(cid)
-        effective = list(query_tokens)
-        if self.config.score_omega_only:
-            vocabulary = self._scoring_vocabulary
-            effective = [
-                token
-                for token in effective
-                if token in vocabulary or any(char.isdigit() for char in token)
-            ]
-            if not effective:
-                effective = list(query_tokens)
+        effective = list(scoring_tokens)
         if self.config.remove_shared_words:
             description_words = set(concept.words)
             effective = [

@@ -16,9 +16,9 @@ monolithic index's tie-break — so the merged ranking equals the
 unsharded one.  Phase II does not scatter: a batch's candidates, from
 whichever shards, are scored by one lock-step decode
 (:meth:`repro.core.comaid.ComAid.score_batch`) on the calling thread.
-A lock-step decode's cost is dominated by its per-timestep fixed
-overhead, so splitting a candidate set into S smaller decodes plus S
-pool hops costs more than it recovers.
+The decode's cost is dominated by the ``|V|``-wide output layer over
+the rows still decoding, which splitting does not reduce, so S smaller
+decodes plus S pool hops cost more than one decode.
 
 Shard retrieval executes on a persistent thread pool (``S`` workers):
 the indexes are shared memory, so threads — not processes — are the
@@ -370,9 +370,13 @@ class ShardedConceptEngine:
 
         Drop-in for :meth:`ComAid.score_batch` with concept ids instead
         of encoding pairs: the whole batch runs as one lock-step decode
-        on the calling thread over the precomputed slab.  A lock-step
-        decode's cost is dominated by its per-timestep fixed overhead,
-        so splitting the batch across shards would only add decodes and
+        on the calling thread over the precomputed slab.  Each row is
+        assembled straight from zero-copy slab views (states slice,
+        ``final_h``, ``final_c``, structure memory); the decode never
+        reads a concept's word ids, so none are built.  The decode's
+        cost is dominated by the ``|V|``-wide output layer over the
+        rows still decoding, which splitting does not reduce, so
+        splitting the batch across shards would only add decodes and
         pool hops.  Every cid must be in the artifact (``DataError``
         otherwise).  A failure propagates — a partially scored ranking
         would be unfairly ordered — and is handled by the linker's
@@ -389,10 +393,20 @@ class ShardedConceptEngine:
             return np.zeros(0, dtype=np.float64)
         with trace.span("engine.shard.phase2", phase="ED", batch=len(cids)):
             probe("engine.shard.score")
-            batch = [
-                (self.encoding_of(cid), self.structure_memory_of(cid))
-                for cid in cids
-            ]
+            artifact = self._artifact
+            offsets = artifact.state_offsets
+            batch = []
+            for cid in cids:
+                position = artifact.position_of(cid)
+                encoding = ConceptEncoding(
+                    word_ids=(),
+                    states=artifact.states[
+                        offsets[position] : offsets[position + 1]
+                    ],
+                    final_h=artifact.final_h[position],
+                    final_c=artifact.final_c[position],
+                )
+                batch.append((encoding, self.structure_memory_of(cid)))
             return self._model.score_batch(
                 [list(ids) for ids in query_ids], batch
             )

@@ -103,7 +103,13 @@ def batched_target_log_probs(
 
     The batched, sign-flipped analogue of :func:`softmax_cross_entropy`'s
     loss term (no gradient is produced — the batched Phase-II path is
-    inference-only).
+    inference-only).  Computed as ``(logit[target] − max) − log Σ
+    exp(logits − max)``, the same operations :func:`log_softmax` runs,
+    but in place on the ``logits`` buffer, reading out only the B target
+    entries: the full log-softmax is never materialised and no
+    ``(B, V)`` temporary is allocated.  A float64 ``logits`` array is
+    therefore overwritten (it ends holding the shifted exponentials);
+    pass a copy to keep it.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -118,8 +124,10 @@ def batched_target_log_probs(
             f"target out of range for {logits.shape[1]} classes: "
             f"{index.min()}..{index.max()}"
         )
-    log_probs = log_softmax(logits, axis=-1)
-    return log_probs[np.arange(logits.shape[0]), index]
+    logits -= np.max(logits, axis=-1, keepdims=True)
+    target = logits[np.arange(logits.shape[0]), index]
+    np.exp(logits, out=logits)
+    return target - np.log(np.sum(logits, axis=-1))
 
 
 def one_hot(index: int, size: int) -> np.ndarray:

@@ -124,9 +124,12 @@ class LSTMCell(Module):
                 f"h={h_prev.shape}, c={c_prev.shape}"
             )
         pre = x @ self.wx.value.T + h_prev @ self.wh.value.T + self.bias.value
-        gate_i = sigmoid(pre[:, :hidden])
-        gate_f = sigmoid(pre[:, hidden : 2 * hidden])
-        gate_o = sigmoid(pre[:, 2 * hidden : 3 * hidden])
+        # The input/forget/output gates are one contiguous block: one
+        # sigmoid call over it is elementwise identical to three.
+        gates = sigmoid(pre[:, : 3 * hidden])
+        gate_i = gates[:, :hidden]
+        gate_f = gates[:, hidden : 2 * hidden]
+        gate_o = gates[:, 2 * hidden :]
         candidate = tanh(pre[:, 3 * hidden :])
         cell = gate_f * c_prev + gate_i * candidate
         hidden_state = gate_o * tanh(cell)

@@ -3,16 +3,17 @@
 The linker scores every candidate of every query in a batch with one
 lock-step decode (``ComAid.score_batch``).  This module derives the same
 results the slow, obvious way — one ``model.score_with_encodings`` call
-per candidate over the linker's own ``_effective_tokens`` filter — so
-the tests can prove that batching changes the work schedule and nothing
-else: identical rankings, tie order, and log-probs to ≤1e-9.
+per candidate over the linker's own token filters — so the tests can
+prove that batching changes the work schedule and nothing else:
+identical rankings, tie order, and log-probs to ≤1e-9.
 
 Phase I (OR + CR) and the RT sort are the linker's own; only the ED
 scoring is re-derived.
 """
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+from repro.core.comaid import ComAid, ConceptEncoding
 from repro.core.linker import LinkResult, NeuralConceptLinker, RankedConcept
 
 
@@ -21,11 +22,13 @@ def score_candidate(
 ) -> float:
     """``log p(q|c)`` for one candidate, decoded on its own.
 
-    Shared-word removal and the Ω filter come from the linker's
-    ``_effective_tokens``; a query fully covered by the description
-    scores 0.0 without running the model.
+    The Ω filter and shared-word removal come from the linker's
+    ``_scoring_tokens`` and ``_effective_tokens``; a query fully covered
+    by the description scores 0.0 without running the model.
     """
-    effective = linker._effective_tokens(cid, query_tokens)
+    effective = linker._effective_tokens(
+        cid, linker._scoring_tokens(query_tokens)
+    )
     if effective is None:
         return 0.0
     query_ids = linker.model.words_to_ids(effective)
@@ -57,3 +60,16 @@ def link_batch(
 ) -> List[LinkResult]:
     """The per-query reference for ``linker.link_batch(queries, k)``."""
     return [link(linker, query, k) for query in queries]
+
+
+def score_rows(
+    model: ComAid,
+    query_ids: Sequence[Sequence[int]],
+    candidates: Sequence[Tuple[ConceptEncoding, Sequence[ConceptEncoding]]],
+) -> List[float]:
+    """The per-row reference for ``model.score_batch(query_ids,
+    candidates)``: each row decoded on its own."""
+    return [
+        model.score_with_encodings(encoding, ancestors, query)
+        for (encoding, ancestors), query in zip(candidates, query_ids)
+    ]

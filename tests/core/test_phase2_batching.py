@@ -16,7 +16,9 @@ ships with a proof against the per-candidate oracle
   different ontology depths including Def. 4.1's first-level-duplication
   padding — are masked correctly;
 * the trivially-decodable shortcut (query fully covered by the
-  description) short-circuits to exactly 0.0 on both sides.
+  description) short-circuits to exactly 0.0 on both sides;
+* the decode shrinks: each row runs only its own ⟨query, eos⟩ steps
+  (no ``<pad>`` steps), whatever order the rows arrive in.
 """
 
 import math
@@ -30,6 +32,7 @@ from repro.core.comaid import ComAid
 from repro.core.config import ComAidConfig, LinkerConfig, ServingConfig
 from repro.core.linker import NeuralConceptLinker
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.nn.functional import batched_target_log_probs, log_softmax
 from repro.ontology.concept import Concept
 from repro.ontology.ontology import Ontology
 from repro.serving.service import LinkingService
@@ -183,6 +186,87 @@ class TestScoreBatchEquivalence:
         ):
             sequential = model.score_with_encodings(encoding, ancestors, query)
             assert abs(batched[row] - sequential) <= TOLERANCE
+
+
+def _mixed_length_batch(model: ComAid, rng: np.random.Generator):
+    """Two rows finishing at every decode step 2..6 (1- to 5-word
+    queries), shuffled so the batch arrives in no particular order."""
+    lengths = [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1, 3]
+    _, candidates = _random_candidates(model, rng, count=len(lengths))
+    queries = [_word_ids(model, rng, length) for length in lengths]
+    shuffle = rng.permutation(len(lengths))
+    return [queries[i] for i in shuffle], [candidates[i] for i in shuffle]
+
+
+class TestShrinkingDecode:
+    """``score_batch`` decodes each row only while its ⟨query, eos⟩
+    sequence lasts: rows run longest first and drop out of the batch
+    after their last step, and the scores land back in caller order."""
+
+    def test_step_batch_sees_only_live_rows(self, monkeypatch):
+        model = _model()
+        queries, candidates = _mixed_length_batch(
+            model, np.random.default_rng(17)
+        )
+        cell = model.decoder.cell
+        step_batch = cell.step_batch
+        seen = []
+
+        def spy(x, h, c):
+            seen.append(x.shape[0])
+            return step_batch(x, h, c)
+
+        monkeypatch.setattr(cell, "step_batch", spy)
+        model.score_batch(queries, candidates)
+        assert sum(seen) == sum(len(query) + 1 for query in queries)
+        # No <pad> row ever comes back: the batch only shrinks.
+        assert seen == sorted(seen, reverse=True)
+        assert seen[0] == len(queries)
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize(
+        "use_text,use_struct",
+        [(True, True), (True, False), (False, True), (False, False)],
+    )
+    def test_mixed_lengths_match_oracle(self, cell, use_text, use_struct):
+        model = _model(cell=cell, use_text=use_text, use_struct=use_struct)
+        queries, candidates = _mixed_length_batch(
+            model, np.random.default_rng(19)
+        )
+        np.testing.assert_allclose(
+            model.score_batch(queries, candidates),
+            oracle.score_rows(model, queries, candidates),
+            rtol=0,
+            atol=TOLERANCE,
+        )
+
+    def test_permuted_order_gives_same_row_scores(self):
+        model = _model()
+        rng = np.random.default_rng(23)
+        queries, candidates = _mixed_length_batch(model, rng)
+        reference = oracle.score_rows(model, queries, candidates)
+        permutation = rng.permutation(len(queries))
+        permuted = model.score_batch(
+            [queries[i] for i in permutation],
+            [candidates[i] for i in permutation],
+        )
+        np.testing.assert_allclose(
+            permuted,
+            [reference[i] for i in permutation],
+            rtol=0,
+            atol=TOLERANCE,
+        )
+
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 700.0])
+    def test_target_log_probs_match_log_softmax(self, scale):
+        rng = np.random.default_rng(29)
+        logits = rng.uniform(-scale, scale, size=(6, 40))
+        logits[0, :] = scale  # a row of ties at the extreme
+        logits[1, 3] = -scale
+        targets = np.array([0, 3, 39, 7, 12, 20])
+        expected = log_softmax(logits)[np.arange(6), targets]
+        got = batched_target_log_probs(logits.copy(), targets)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def _assert_links_equivalent(batched_result, sequential_result):

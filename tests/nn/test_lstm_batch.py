@@ -223,7 +223,8 @@ class TestBatchedFunctional:
     def test_batched_target_log_probs_match_cross_entropy(self):
         logits = _rows((5, 11))
         targets = np.array([0, 10, 3, 7, 5])
-        log_probs = batched_target_log_probs(logits, targets)
+        # The function works in place on its logits buffer.
+        log_probs = batched_target_log_probs(logits.copy(), targets)
         for row in range(5):
             loss, _ = softmax_cross_entropy(logits[row], int(targets[row]))
             np.testing.assert_allclose(log_probs[row], -loss, atol=1e-12)

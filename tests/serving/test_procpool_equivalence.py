@@ -8,6 +8,7 @@ count, under concurrency, degraded, and cold- or warm-cached.
 """
 
 import math
+import multiprocessing
 import threading
 
 import pytest
@@ -109,13 +110,20 @@ class TestForcedCrossRequestFusion:
     def test_bursts_queued_before_ready_fuse_into_one_job(
         self, make_worker_linker, reference
     ):
-        # Submitting while the lone worker is still building its linker
-        # queues every burst; the first dispatch then packs all four
-        # 2-query bursts into ONE worker job (8 = max_batch_size), so
-        # these results can only have come through the fused path.
+        # The lone worker cannot finish building its linker until every
+        # burst is queued (it waits on a fork-inherited event); the first
+        # dispatch then packs all four 2-query bursts into ONE worker job
+        # (8 = max_batch_size), so these results can only have come
+        # through the fused path.
         linker = make_worker_linker()
+        queued = multiprocessing.get_context("fork").Event()
+
+        def build_linker():
+            queued.wait(30.0)
+            return linker
+
         frontend = build_frontend(
-            lambda: linker, workers=1, max_batch_size=8, warm=False
+            build_linker, workers=1, max_batch_size=8, warm=False
         )
         try:
             pairs = [
@@ -123,6 +131,7 @@ class TestForcedCrossRequestFusion:
                 for i in range(0, 8, 2)
             ]
             futures = [frontend.submit(pair, [None, None]) for pair in pairs]
+            queued.set()
             results = [future.result(30.0) for future in futures]
             stats = frontend.stats()
             assert stats["jobs_ok"] == 1, stats

@@ -40,7 +40,7 @@ reproduction runs synthetic substitute corpora (DESIGN.md §2) with
 | Fig 7 | NCL best Acc & MRR on both datasets; pkduck 2nd, better as θ↓; NC/Doc2Vec trail | mostly: NCL clearly first on mimic-iii-like and ties best MRR on hospital-x-like, where WMD/pkduck(0.1) reach the same accuracy band (±0.01) — synthetic noise is more word-alignable than ward language; NC/LR+/Doc2Vec trail as in the paper |
 | Fig 8 | pre-training gap > 0.1 at every d | yes (gap larger here: with a small corpus, pre-training carries more signal) |
 | Fig 10 | representations shift per feedback; fed pair absorbed | yes (nonzero PCA shifts every step; the fed pair's loss falls in 2 of 3 steps — single-pair incremental updates are noisy at this scale) |
-| Fig 11 | time grows with k and query length; ED dominates; hospital-x slower | yes (ED ≈ 95% of online time) |
+| Fig 11 | time grows with k and query length; ED dominates; hospital-x slower | yes (ED ≈ 83–89% of online time across k) |
 | Fig 12 | training time ~linear in data; refinement costlier than pre-training | yes per item (absolute gap is a corpus/pair-ratio artifact at bench scale; see section note) |
 | Fig 13 | Acc mildly falls with more concepts; falls with less unlabeled data but stays usable | yes |
 | extra ablations | — | Phase II ≈ keyword matcher at bench scale (honest finding), rewriting clearly helps, GRU ≈ LSTM, sampled softmax quality-neutral, RRF fusion ≥ weaker member |
@@ -119,9 +119,16 @@ def slice_blocks(transcript: str) -> Dict[str, List[str]]:
             continue
         if current is None:
             continue
-        # Stop a block at pytest chrome; keep table/series lines.
+        # A table's rule line (dash runs and spaces, e.g. "--  -----"
+        # under a 2-wide column) is table body, not pytest chrome.
+        if re.fullmatch(r"-+( +-+)* *", line):
+            blocks[current].append(raw)
+            continue
+        # Stop a block at pytest chrome (including a line of bare
+        # progress glyphs); keep table/series lines.
         if (
             not line.strip()
+            or re.fullmatch(r"[.sFE]+", line.strip())
             or line.startswith(("=", "-- ", "benchmarks/", "tests/"))
             or re.match(r"^-+ benchmark", line)
         ):

@@ -32,7 +32,7 @@ by finite differences in ``tests/core/test_comaid_grad.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from repro.nn.attention import Attention, AttentionCache
 from repro.nn.embedding import Embedding
 from repro.nn.functional import (
     batched_target_log_probs,
+    log_normalizers,
+    matmul_rows,
     softmax_cross_entropy,
     tanh,
     tanh_grad,
@@ -68,6 +70,68 @@ class ConceptEncoding:
     final_h: np.ndarray
     final_c: np.ndarray
     caches: Optional[List[LSTMStepCache]] = None
+
+
+#: A block of concepts' decoder step 0 — ``(h_1, c_1, s̃_0, log Z_0)``
+#: with shapes ``(n, d)``, ``(n, d)``, ``(n, d)`` and ``(n,)``.
+DecoderStarts = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class ConceptMemory:
+    """Encoder outputs of N concepts as arrays indexed by position.
+
+    ``final_h``/``final_c`` are the ``(N, d)`` decoder initialisers,
+    ``states`` every concept's encoder states stacked into one
+    ``(S, d)`` array with concept ``p`` at rows
+    ``offsets[p]:offsets[p + 1]``, and ``structure`` the ``(N, β, d)``
+    structure memories (``None`` without structure attention).  The
+    compiled artifact's slab has exactly this layout, so the engine
+    wraps its views without a copy.
+    """
+
+    def __init__(
+        self,
+        final_h: np.ndarray,
+        final_c: np.ndarray,
+        states: np.ndarray,
+        offsets: np.ndarray,
+        structure: Optional[np.ndarray],
+    ) -> None:
+        self.final_h = final_h
+        self.final_c = final_c
+        self.states = states
+        self.offsets = offsets
+        self.structure = structure
+
+    @classmethod
+    def stack(
+        cls,
+        concepts: Sequence[ConceptEncoding],
+        structures: Optional[Sequence[np.ndarray]],
+    ) -> "ConceptMemory":
+        """The memory of ``concepts`` (plus their structure matrices)."""
+        widths = [concept.states.shape[0] for concept in concepts]
+        return cls(
+            np.array([concept.final_h for concept in concepts]),
+            np.array([concept.final_c for concept in concepts]),
+            np.concatenate([concept.states for concept in concepts]),
+            np.cumsum([0] + widths),
+            np.array(structures) if structures is not None else None,
+        )
+
+    def text(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(B, W, d)`` text memory and ``(B, W)`` mask for ``rows``,
+        ``W`` being the widest of their descriptions.
+
+        One gather into ``states``.  A padding slot repeats its
+        concept's last real row: the mask gives it weight exactly 0, so
+        it adds exactly 0 to the context.
+        """
+        first = self.offsets[rows]
+        widths = self.offsets[rows + 1] - first
+        slots = np.arange(widths.max())
+        state_rows = first[:, None] + np.minimum(slots, widths[:, None] - 1)
+        return self.states[state_rows], slots < widths[:, None]
 
 
 @dataclass
@@ -484,31 +548,17 @@ class ComAid(Module):
         ``log p(q_j | c_j)`` in the caller's row order, matching the
         sequential method per row to floating-point round-off.
 
-        All k decodes advance in lock-step: one ``(k, ·)`` matmul per
-        decoder timestep instead of k mat-vecs (the trick seq2seq
-        serving stacks use for beam scoring).  Rows are stable-sorted
-        by decode length, longest first, so at step t the rows whose
-        ⟨query, eos⟩ sequence is still running are a prefix of the
-        batch: the step runs embedding → recurrent step → attentions →
-        composite → output on that prefix only, and a row leaves the
-        batch after its last step — no row ever decodes a ``<pad>``.
-        Text attention (Eq. 5-6) is masked over each candidate's true
-        description length; structure attention (Eq. 7) runs over the
-        ``(k, β, d)`` ancestor block — Def. 4.1's first-level
-        duplication already pads every ancestor path to exactly β, so
-        no mask is needed there.  Each step reads only the target
-        entry of the ``|V|``-wide softmax
-        (:func:`~repro.nn.functional.batched_target_log_probs`).
-        Inference-only: no caches are kept and no gradients flow —
-        training and the equivalence-test oracle stay on the sequential
-        :meth:`_decode`.
+        Step 0 depends only on the concept, so it runs once per
+        distinct ``(concept, ancestors)`` pair of the call
+        (:meth:`decoder_start`); the rows then decode together from
+        step 1 (:meth:`score_from_starts`).  Inference-only: no caches
+        are kept and no gradients flow — training and the
+        equivalence-test oracle stay on the sequential :meth:`_decode`.
 
         A candidate's ancestors may be given either as the usual
         sequence of :class:`ConceptEncoding` (runtime encoding path) or
         as a precomputed ``(beta, dim)`` structure-memory matrix — the
-        exact array :meth:`_structure_memory` would build.  The
-        compiled-artifact engine stores those matrices per concept so
-        the ancestor encoders never run online.
+        exact array :meth:`_structure_memory` would build.
         """
         if len(query_ids) != len(candidates):
             raise DataError(
@@ -517,75 +567,167 @@ class ComAid(Module):
             )
         if not candidates:
             raise DataError("cannot score an empty candidate batch")
+        use_structure = self.config.use_structure_attention
+        # Rows sharing the concept and ancestor objects share a start.
+        slot_of: Dict[Tuple[int, Optional[int]], int] = {}
+        rows = np.empty(len(candidates), dtype=np.intp)
+        distinct: List[Tuple[ConceptEncoding, object]] = []
+        for row, (concept, ancestors) in enumerate(candidates):
+            key = (id(concept), id(ancestors) if use_structure else None)
+            if key not in slot_of:
+                slot_of[key] = len(distinct)
+                distinct.append((concept, ancestors))
+            rows[row] = slot_of[key]
+        memory = ConceptMemory.stack(
+            [concept for concept, _ in distinct],
+            [
+                self._candidate_structure_memory(ancestors)
+                for _, ancestors in distinct
+            ]
+            if use_structure
+            else None,
+        )
+        starts = self.decoder_start(memory, np.arange(len(distinct)))
+        return self.score_from_starts(
+            query_ids, tuple(part[rows] for part in starts), memory, rows
+        )
+
+    def decoder_start(
+        self, memory: ConceptMemory, rows: np.ndarray
+    ) -> DecoderStarts:
+        """Decoder step 0 for concepts ``rows`` of ``memory``.
+
+        The first decode step feeds ``<bos>`` from the concept's
+        ``(h_n^c, c_n^c)``; nothing from the query enters it, so its
+        recurrent state, both attentions, the composite state (Eq. 8)
+        and the output normaliser (Eq. 9) are fixed per concept.
+        Returns ``(h_1, c_1, s̃_0, log Z_0)``: step 0 scores target
+        ``w`` as ``W_s[w]·s̃_0 + b[w] − log Z_0``, and the decode
+        resumes at step 1 from ``(h_1, c_1)``.
+        """
+        x = self.embedding.forward(np.full(len(rows), self.vocab.bos_id))
+        h, c = self.decoder.cell.step_batch(
+            x, memory.final_h[rows], memory.final_c[rows]
+        )
+        s_tilde = self._composite_state(
+            h, *self._attention_memories(memory, rows)
+        )
+        logits = matmul_rows(s_tilde, self.output.weight.value.T)
+        logits += self.output.bias.value
+        return h, c, s_tilde, log_normalizers(logits)
+
+    def _attention_memories(
+        self, memory: ConceptMemory, rows: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(text memory, text mask, structure memory)`` for concepts
+        ``rows`` of ``memory``; ``None`` where an attention is off."""
+        text_memory = text_mask = structure = None
+        if self.config.use_text_attention:
+            text_memory, text_mask = memory.text(rows)
+        if self.config.use_structure_attention:
+            structure = memory.structure[rows]
+        return text_memory, text_mask, structure
+
+    def _composite_state(
+        self,
+        h: np.ndarray,
+        text_memory: Optional[np.ndarray],
+        text_mask: Optional[np.ndarray],
+        structure: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """``s̃ = tanh(W_d [s; tc; sc] + b_d)`` (Eq. 8) for the decoder
+        states ``h``, which attend over the first ``len(h)`` rows of
+        the memories."""
+        rows = h.shape[0]
+        parts = [h]
+        if text_memory is not None:
+            contexts, _ = self.text_attention.forward_batch(
+                h, text_memory[:rows], text_mask[:rows]
+            )
+            parts.append(contexts)
+        if structure is not None:
+            contexts, _ = self.structure_attention.forward_batch(
+                h, structure[:rows]
+            )
+            parts.append(contexts)
+        return tanh(self.composite.forward(np.concatenate(parts, axis=1)))
+
+    def score_from_starts(
+        self,
+        query_ids: Sequence[Sequence[int]],
+        starts: DecoderStarts,
+        memory: ConceptMemory,
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """``log p(q_j | c_j)`` per row, decoding from step 1.
+
+        Row ``j`` decodes query ``query_ids[j]`` against concept
+        ``rows[j]`` of ``memory``; ``starts`` holds each row's
+        :meth:`decoder_start` output.  Step 0's score is a gather and
+        a row dot against ``s̃_0`` — no ``|V|``-wide work.
+
+        All rows advance in lock-step from step 1: one ``(k, ·)``
+        matmul per decoder timestep instead of k mat-vecs (the trick
+        seq2seq serving stacks use for beam scoring).  Rows are
+        stable-sorted by decode length, longest first, so at step t the
+        rows whose ⟨query, eos⟩ sequence is still running are a prefix
+        of the batch: the step runs embedding → recurrent step →
+        attentions → composite → output on that prefix only, and a row
+        leaves the batch after its last step — no row ever decodes a
+        ``<pad>``.  Text attention (Eq. 5-6) is masked over each
+        concept's true description length; structure attention (Eq. 7)
+        runs over the ``(k, β, d)`` ancestor block — Def. 4.1's
+        first-level duplication already pads every ancestor path to
+        exactly β, so no mask is needed there.  Each step reads only
+        the target entry of the ``|V|``-wide softmax
+        (:func:`~repro.nn.functional.batched_target_log_probs`).
+        """
         queries = [list(ids) for ids in query_ids]
         if any(not query for query in queries):
             raise DataError("cannot score an empty query")
-        size = len(candidates)
-        dim = self.config.dim
+        size = len(queries)
+        h, c, s_tilde, log_z = starts
+        weight = self.output.weight.value
+        bias = self.output.bias.value
+        first = np.asarray([query[0] for query in queries], dtype=np.intp)
+        step0 = np.einsum("bd,bd->b", weight[first], s_tilde)
+        step0 += bias[first] - log_z
         # Longest decode first; the stable sort keeps equal lengths in
-        # the caller's order.  live[t] = rows still decoding at step t.
-        lengths = np.asarray([len(query) + 1 for query in queries])
+        # the caller's order.  live[t] = rows still decoding at step
+        # t + 1; every row runs at least its <eos> step.
+        lengths = np.asarray([len(query) for query in queries])
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
         steps = np.arange(lengths[0])
         live = np.count_nonzero(lengths[:, None] > steps, axis=0).tolist()
-        # targets[b, t] is the word row b predicts at step t (its query,
-        # then <eos>); the input at step t is <bos>, then the previous
-        # target.  Entries past a row's last step are never read.
-        targets = np.full(
-            (size, steps.size), self.vocab.eos_id, dtype=np.intp
-        )
+        # targets[b, t] is the word row b predicts at step t + 1 (the
+        # rest of its query, then <eos>); the input at step t + 1 is the
+        # word step t predicted.  Entries past a row's last step are
+        # never read.
+        targets = np.full((size, steps.size), self.vocab.eos_id, dtype=np.intp)
         targets[steps < lengths[:, None] - 1] = [
-            word for row in order for word in queries[row]
+            word for row in order for word in queries[row][1:]
         ]
         input_ids = np.empty_like(targets)
-        input_ids[:, 0] = self.vocab.bos_id
+        input_ids[:, 0] = first[order]
         input_ids[:, 1:] = targets[:, :-1]
-        concepts = [candidates[row][0] for row in order]
-        h = np.array([concept.final_h for concept in concepts])
-        c = np.array([concept.final_c for concept in concepts])
-        text_memory: Optional[np.ndarray] = None
-        text_mask: Optional[np.ndarray] = None
-        if self.config.use_text_attention:
-            states = [concept.states for concept in concepts]
-            widths = np.asarray([memory.shape[0] for memory in states])
-            text_mask = np.arange(widths.max()) < widths[:, None]
-            text_memory = np.zeros(text_mask.shape + (dim,))
-            text_memory[text_mask] = np.concatenate(states)
-        struct_memory: Optional[np.ndarray] = None
-        if self.config.use_structure_attention:
-            struct_memory = np.array(
-                [
-                    self._candidate_structure_memory(candidates[row][1])
-                    for row in order
-                ]
-            )
-        sorted_log_probs = np.zeros(size)
-        weight_t = self.output.weight.value.T
-        bias = self.output.bias.value
+        h = h[order]
+        c = c[order]
+        memories = self._attention_memories(memory, np.asarray(rows)[order])
+        sorted_log_probs = step0[order]
         # One logits buffer per call, reused by every step: a fresh
         # (rows, |V|) temporary per step costs more in page faults than
         # the exp over it.
         logits_buffer = np.empty((size, bias.shape[0]))
-        for t, rows in enumerate(live):
-            x = self.embedding.forward(input_ids[:rows, t])
-            h, c = self.decoder.cell.step_batch(x, h[:rows], c[:rows])
-            parts = [h]
-            if text_memory is not None:
-                contexts, _ = self.text_attention.forward_batch(
-                    h, text_memory[:rows], text_mask[:rows]
-                )
-                parts.append(contexts)
-            if struct_memory is not None:
-                contexts, _ = self.structure_attention.forward_batch(
-                    h, struct_memory[:rows]
-                )
-                parts.append(contexts)
-            s_tilde = tanh(self.composite.forward(np.concatenate(parts, axis=1)))
-            logits = np.matmul(s_tilde, weight_t, out=logits_buffer[:rows])
+        weight_t = weight.T
+        for t, live_rows in enumerate(live):
+            x = self.embedding.forward(input_ids[:live_rows, t])
+            h, c = self.decoder.cell.step_batch(x, h[:live_rows], c[:live_rows])
+            s_tilde = self._composite_state(h, *memories)
+            logits = matmul_rows(s_tilde, weight_t, out=logits_buffer[:live_rows])
             logits += bias
-            sorted_log_probs[:rows] += batched_target_log_probs(
-                logits, targets[:rows, t]
+            sorted_log_probs[:live_rows] += batched_target_log_probs(
+                logits, targets[:live_rows, t]
             )
         log_probs = np.empty(size)
         log_probs[order] = sorted_log_probs

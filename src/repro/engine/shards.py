@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.core.candidates import CandidateGenerator
-from repro.core.comaid import ComAid, ConceptEncoding
+from repro.core.comaid import ComAid, ConceptEncoding, ConceptMemory
 from repro.core.config import RetrievalConfig
 from repro.engine.compile import ConceptArtifact
 from repro.obs import trace
@@ -126,6 +126,19 @@ class ShardedConceptEngine:
         self._hybrid: Optional[HybridRetriever] = None
         if self._retrieval.mode != "exact":
             self._hybrid = self._build_retriever(self._retrieval)
+        self._memory = ConceptMemory(
+            artifact.final_h,
+            artifact.final_c,
+            artifact.states,
+            artifact.state_offsets,
+            artifact.structure,
+        )
+        # Decoder starts, filled lazily by _decoder_starts: the row of
+        # the packed table holding each artifact position's start, or -1.
+        dim = model.config.dim
+        self._start_slot = np.full(len(artifact), -1, dtype=np.intp)
+        self._starts = np.empty((0, 3 * dim + 1))
+        self._starts_filled = 0
         self._lock = threading.Lock()
         self._retrieve_failures = 0
         self._retrievals = 0
@@ -370,13 +383,14 @@ class ShardedConceptEngine:
 
         Drop-in for :meth:`ComAid.score_batch` with concept ids instead
         of encoding pairs: the whole batch runs as one lock-step decode
-        on the calling thread over the precomputed slab.  Each row is
-        assembled straight from zero-copy slab views (states slice,
-        ``final_h``, ``final_c``, structure memory); the decode never
-        reads a concept's word ids, so none are built.  The decode's
-        cost is dominated by the ``|V|``-wide output layer over the
-        rows still decoding, which splitting does not reduce, so
-        splitting the batch across shards would only add decodes and
+        on the calling thread over the precomputed slab.  Each cid's
+        artifact position is looked up once; every row's decoder start
+        (step 0, computed once per concept by :meth:`_decoder_starts`)
+        and its text and structure memories are then gathered by
+        position, so no per-row :class:`ConceptEncoding` is built.  The
+        decode's cost is dominated by the ``|V|``-wide output layer
+        over the rows still decoding, which splitting does not reduce,
+        so splitting the batch across shards would only add decodes and
         pool hops.  Every cid must be in the artifact (``DataError``
         otherwise).  A failure propagates — a partially scored ranking
         would be unfairly ordered — and is handled by the linker's
@@ -393,23 +407,54 @@ class ShardedConceptEngine:
             return np.zeros(0, dtype=np.float64)
         with trace.span("engine.shard.phase2", phase="ED", batch=len(cids)):
             probe("engine.shard.score")
-            artifact = self._artifact
-            offsets = artifact.state_offsets
-            batch = []
-            for cid in cids:
-                position = artifact.position_of(cid)
-                encoding = ConceptEncoding(
-                    word_ids=(),
-                    states=artifact.states[
-                        offsets[position] : offsets[position + 1]
-                    ],
-                    final_h=artifact.final_h[position],
-                    final_c=artifact.final_c[position],
-                )
-                batch.append((encoding, self.structure_memory_of(cid)))
-            return self._model.score_batch(
-                [list(ids) for ids in query_ids], batch
+            position_of = self._artifact.position_of
+            positions = np.fromiter(
+                (position_of(cid) for cid in cids), np.intp, len(cids)
             )
+            starts = self._decoder_starts(positions)
+            dim = self._model.config.dim
+            return self._model.score_from_starts(
+                query_ids,
+                (
+                    starts[:, :dim],
+                    starts[:, dim : 2 * dim],
+                    starts[:, 2 * dim : 3 * dim],
+                    starts[:, 3 * dim],
+                ),
+                self._memory,
+                positions,
+            )
+
+    def _decoder_starts(self, positions: np.ndarray) -> np.ndarray:
+        """Each row's packed ``[h_1 | c_1 | s̃_0 | log Z_0]`` start.
+
+        Step 0 of a decode depends only on the concept, so each
+        concept's start is computed once — the first time a decode
+        touches it — and kept for the engine's lifetime.  The table
+        grows with the concepts actually served: ``load_linker`` pays
+        nothing, and an eager table over every compiled concept would
+        cost ``(3d + 1) × 8`` bytes per concept per process.
+        """
+        with self._lock:
+            slots = self._start_slot[positions]
+            missing = np.unique(positions[slots < 0])
+            if missing.size:
+                block = np.column_stack(
+                    self._model.decoder_start(self._memory, missing)
+                )
+                filled = self._starts_filled
+                needed = filled + missing.size
+                if needed > self._starts.shape[0]:
+                    grown = np.empty(
+                        (max(needed, 2 * self._starts.shape[0]), block.shape[1])
+                    )
+                    grown[:filled] = self._starts[:filled]
+                    self._starts = grown
+                self._starts[filled:needed] = block
+                self._start_slot[missing] = np.arange(filled, needed)
+                self._starts_filled = needed
+                slots = self._start_slot[positions]
+            return self._starts[slots]
 
     # -- lifecycle -----------------------------------------------------------
 

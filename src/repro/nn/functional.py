@@ -17,6 +17,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid as ``½·tanh(½·x) + ½``, in place on float64 ``x``.
+
+    The inference-only form for the batched recurrent steps: one
+    ``tanh`` pass with no boolean masks, and no overflow for any finite
+    ``x``.  Matches :func:`sigmoid` (which training keeps) to within a
+    few ulps of 1.  Returns ``x``.
+    """
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
+
+
 def sigmoid_grad(y: np.ndarray) -> np.ndarray:
     """d sigmoid / dx expressed in terms of the output ``y``."""
     return y * (1.0 - y)
@@ -103,13 +118,12 @@ def batched_target_log_probs(
 
     The batched, sign-flipped analogue of :func:`softmax_cross_entropy`'s
     loss term (no gradient is produced — the batched Phase-II path is
-    inference-only).  Computed as ``(logit[target] − max) − log Σ
-    exp(logits − max)``, the same operations :func:`log_softmax` runs,
-    but in place on the ``logits`` buffer, reading out only the B target
-    entries: the full log-softmax is never materialised and no
-    ``(B, V)`` temporary is allocated.  A float64 ``logits`` array is
-    therefore overwritten (it ends holding the shifted exponentials);
-    pass a copy to keep it.
+    inference-only).  Computed as ``logit[target] −``
+    :func:`log_normalizers`, in place on the ``logits`` buffer, reading
+    out only the B target entries: the full log-softmax is never
+    materialised and no ``(B, V)`` temporary is allocated.  A float64
+    ``logits`` array is therefore overwritten (it ends holding the
+    shifted exponentials); pass a copy to keep it.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
@@ -124,10 +138,42 @@ def batched_target_log_probs(
             f"target out of range for {logits.shape[1]} classes: "
             f"{index.min()}..{index.max()}"
         )
-    logits -= np.max(logits, axis=-1, keepdims=True)
     target = logits[np.arange(logits.shape[0]), index]
+    return target - log_normalizers(logits)
+
+
+def log_normalizers(logits: np.ndarray) -> np.ndarray:
+    """Per-row ``log Σ exp(logits[b])`` of a float64 ``(B, V)`` batch.
+
+    Shift by the row max, exponentiate and sum — the normaliser
+    :func:`log_softmax` subtracts — in place on ``logits``, which ends
+    holding the shifted exponentials.  Returns ``max + log Σ exp(logits
+    − max)``, finite for any finite logits.
+    """
+    shift = np.max(logits, axis=-1)
+    logits -= shift[:, None]
     np.exp(logits, out=logits)
-    return target - np.log(np.sum(logits, axis=-1))
+    return shift + np.log(np.sum(logits, axis=-1))
+
+
+def matmul_rows(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``a @ b`` for a ``(B, k)`` row batch, never on the one-row path.
+
+    numpy hands a one-row product to BLAS ``gemv`` and a wider one to
+    ``gemm``, and the two round their sums differently, so a query
+    linked alone would differ in its last bits from the same query
+    linked in a batch.  A one-row ``a`` is therefore multiplied as two
+    copies of itself.
+    """
+    if a.shape[0] != 1:
+        return np.matmul(a, b, out=out)
+    product = np.matmul(np.concatenate((a, a)), b)[:1]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def one_hot(index: int, size: int) -> np.ndarray:

@@ -22,7 +22,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import sigmoid, sigmoid_grad, tanh, tanh_grad
+from repro.nn.functional import (
+    matmul_rows,
+    sigmoid,
+    sigmoid_grad,
+    sigmoid_inplace,
+    tanh,
+    tanh_grad,
+)
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike, derive_rng, ensure_rng
@@ -125,13 +132,16 @@ class GRUCell(Module):
             raise ValueError(
                 f"h_prev must be ({x.shape[0]}, {hidden}), got {h_prev.shape}"
             )
-        pre_x = x @ self.wx.value.T + self.bias.value
-        update = sigmoid(pre_x[:, :hidden] + h_prev @ self.wh.value[:hidden].T)
-        reset = sigmoid(
-            pre_x[:, hidden : 2 * hidden]
-            + h_prev @ self.wh.value[hidden : 2 * hidden].T
+        pre_x = matmul_rows(x, self.wx.value.T) + self.bias.value
+        # The update and reset gates are one contiguous block: one
+        # sigmoid call over it is elementwise identical to two.
+        gates = sigmoid_inplace(
+            pre_x[:, : 2 * hidden]
+            + matmul_rows(h_prev, self.wh.value[: 2 * hidden].T)
         )
-        candidate_recurrent = h_prev @ self.wh.value[2 * hidden :].T
+        update = gates[:, :hidden]
+        reset = gates[:, hidden:]
+        candidate_recurrent = matmul_rows(h_prev, self.wh.value[2 * hidden :].T)
         candidate = tanh(pre_x[:, 2 * hidden :] + reset * candidate_recurrent)
         h = (1.0 - update) * candidate + update * h_prev
         return h, h
@@ -217,33 +227,6 @@ class GRUEncoder(Module):
             states[t] = h
             caches.append(cache)
         return states, caches
-
-    def forward_batch(
-        self,
-        inputs: np.ndarray,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Lock-step run over a ``(B, T, input_dim)`` batch; ``c0``
-        ignored.  Returns ``(B, T, hidden_dim)`` states; inference-only
-        (mirrors :meth:`LSTMEncoder.forward_batch`)."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3 or inputs.shape[2] != self.cell.input_dim:
-            raise ValueError(
-                f"inputs must be (B, T, {self.cell.input_dim}), "
-                f"got {inputs.shape}"
-            )
-        batch, steps = inputs.shape[:2]
-        if batch == 0 or steps == 0:
-            raise ValueError("cannot encode an empty batch or sequence")
-        h = np.zeros((batch, self.cell.hidden_dim), dtype=np.float64)
-        if h0 is not None:
-            h = np.asarray(h0, dtype=np.float64)
-        states = np.empty((batch, steps, self.cell.hidden_dim))
-        for t in range(steps):
-            h, _ = self.cell.step_batch(inputs[:, t, :], h)
-            states[:, t, :] = h
-        return states
 
     def backward(
         self,

@@ -18,7 +18,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import sigmoid, sigmoid_grad, tanh, tanh_grad
+from repro.nn.functional import (
+    matmul_rows,
+    sigmoid,
+    sigmoid_grad,
+    sigmoid_inplace,
+    tanh,
+    tanh_grad,
+)
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike, derive_rng, ensure_rng
@@ -123,10 +130,14 @@ class LSTMCell(Module):
                 f"states must be ({x.shape[0]}, {hidden}), got "
                 f"h={h_prev.shape}, c={c_prev.shape}"
             )
-        pre = x @ self.wx.value.T + h_prev @ self.wh.value.T + self.bias.value
+        pre = (
+            matmul_rows(x, self.wx.value.T)
+            + matmul_rows(h_prev, self.wh.value.T)
+            + self.bias.value
+        )
         # The input/forget/output gates are one contiguous block: one
         # sigmoid call over it is elementwise identical to three.
-        gates = sigmoid(pre[:, : 3 * hidden])
+        gates = sigmoid_inplace(pre[:, : 3 * hidden])
         gate_i = gates[:, :hidden]
         gate_f = gates[:, hidden : 2 * hidden]
         gate_o = gates[:, 2 * hidden :]
@@ -215,40 +226,6 @@ class LSTMEncoder(Module):
             states[t] = h
             caches.append(cache)
         return states, caches
-
-    def forward_batch(
-        self,
-        inputs: np.ndarray,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run the cell over a ``(B, T, input_dim)`` batch in lock-step.
-
-        Returns the ``(B, T, hidden_dim)`` hidden states; row ``b``
-        equals :meth:`forward` on sequence ``b`` (ragged batches must be
-        padded by the caller, which then ignores the surplus states).
-        Inference-only — no caches are kept, so there is no BPTT.
-        """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3 or inputs.shape[2] != self.cell.input_dim:
-            raise ValueError(
-                f"inputs must be (B, T, {self.cell.input_dim}), "
-                f"got {inputs.shape}"
-            )
-        batch, steps = inputs.shape[:2]
-        if batch == 0 or steps == 0:
-            raise ValueError("cannot encode an empty batch or sequence")
-        h = np.zeros((batch, self.cell.hidden_dim), dtype=np.float64)
-        c = np.zeros((batch, self.cell.hidden_dim), dtype=np.float64)
-        if h0 is not None:
-            h = np.asarray(h0, dtype=np.float64)
-        if c0 is not None:
-            c = np.asarray(c0, dtype=np.float64)
-        states = np.empty((batch, steps, self.cell.hidden_dim))
-        for t in range(steps):
-            h, c = self.cell.step_batch(inputs[:, t, :], h, c)
-            states[:, t, :] = h
-        return states
 
     def backward(
         self,

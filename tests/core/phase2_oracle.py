@@ -13,8 +13,11 @@ scoring is re-derived.
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.comaid import ComAid, ConceptEncoding
 from repro.core.linker import LinkResult, NeuralConceptLinker, RankedConcept
+from repro.nn.functional import log_softmax
 
 
 def score_candidate(
@@ -73,3 +76,20 @@ def score_rows(
         model.score_with_encodings(encoding, ancestors, query)
         for (encoding, ancestors), query in zip(candidates, query_ids)
     ]
+
+
+def step_log_probs(
+    model: ComAid,
+    encoding: ConceptEncoding,
+    ancestors: Sequence[ConceptEncoding],
+    query_ids: Sequence[int],
+) -> np.ndarray:
+    """The ``(len(query_ids) + 1, |V|)`` log-softmax rows of one
+    sequential decode: row t is ``log p(· | <bos>, q_<t, c)``."""
+    struct_memory = model._candidate_structure_memory(ancestors)
+    if isinstance(ancestors, np.ndarray):
+        ancestors = []
+    cache = model._decode(encoding, list(ancestors), struct_memory, query_ids)
+    return np.array(
+        [log_softmax(model.output.forward(step.s_tilde)) for step in cache.steps]
+    )

@@ -18,7 +18,10 @@ ships with a proof against the per-candidate oracle
 * the trivially-decodable shortcut (query fully covered by the
   description) short-circuits to exactly 0.0 on both sides;
 * the decode shrinks: each row runs only its own ⟨query, eos⟩ steps
-  (no ``<pad>`` steps), whatever order the rows arrive in.
+  (no ``<pad>`` steps), whatever order the rows arrive in;
+* step 0 is per concept: the engine computes each concept's decoder
+  start once, its step-0 log-probs match the oracle's, and a decode
+  runs the recurrent step only for the query's own words.
 """
 
 import math
@@ -32,7 +35,14 @@ from repro.core.comaid import ComAid
 from repro.core.config import ComAidConfig, LinkerConfig, ServingConfig
 from repro.core.linker import NeuralConceptLinker
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.nn.functional import batched_target_log_probs, log_softmax
+from repro.engine.compile import compile_artifact, load_artifact
+from repro.engine.shards import ShardedConceptEngine
+from repro.nn.functional import (
+    batched_target_log_probs,
+    log_softmax,
+    sigmoid,
+    sigmoid_inplace,
+)
 from repro.ontology.concept import Concept
 from repro.ontology.ontology import Ontology
 from repro.serving.service import LinkingService
@@ -44,6 +54,7 @@ from tests.core import phase2_oracle as oracle
 from tests.serving.conftest import make_linker, trained_pipeline  # noqa: F401
 
 TOLERANCE = 1e-9
+ABLATIONS = [(True, True), (True, False), (False, True), (False, False)]
 
 
 def _model(
@@ -344,11 +355,11 @@ class TestLinkerEquivalence:
             )
 
 
-def _heterogeneous_linker() -> NeuralConceptLinker:
-    """A linker whose candidate sets mix ontology depths and description
-    lengths: a first-level leaf (Def. 4.1 pads its path by duplicating
-    itself), second-level leaves, and a third-level leaf with real
-    ancestors — all retrievable by the shared word "pain"."""
+def _heterogeneous_parts():
+    """``(ontology, kb, vocab)`` whose candidate sets mix ontology depths
+    and description lengths: a first-level leaf (Def. 4.1 pads its path
+    by duplicating itself), second-level leaves, and a third-level leaf
+    with real ancestors — all retrievable by the shared word "pain"."""
     ontology = Ontology()
     ontology.add(Concept("P00", "pain"))  # first-level, childless
     ontology.add(Concept("R10", "abdominal and pelvic pain"))
@@ -370,6 +381,11 @@ def _heterogeneous_linker() -> NeuralConceptLinker:
     for concept in ontology:
         vocab.add_all(concept.words)
     vocab.add_all(["severe", "unexplained"])
+    return ontology, kb, vocab
+
+
+def _heterogeneous_linker() -> NeuralConceptLinker:
+    ontology, kb, vocab = _heterogeneous_parts()
     model = ComAid(ComAidConfig(dim=8, beta=2), vocab, rng=29)
     return NeuralConceptLinker(model, ontology, LinkerConfig(k=10), kb=kb)
 
@@ -411,6 +427,195 @@ class TestHeterogeneousCandidates:
                 linker, "P00", ("severe", "pain", "syndrome")
             )
         ) <= TOLERANCE
+
+
+def _compiled_engine(model, ontology, kb, directory) -> ShardedConceptEngine:
+    compile_artifact(directory, model, ontology, kb=kb)
+    return ShardedConceptEngine(
+        model, ontology, load_artifact(directory, model=model)
+    )
+
+
+def _vocab_query(model: ComAid, rng: np.random.Generator, length: int):
+    words = [word for word in model.vocab.words if not word.startswith("<")]
+    return model.words_to_ids(
+        [words[int(rng.integers(0, len(words)))] for _ in range(length)]
+    )
+
+
+def _runtime_candidates(linker: NeuralConceptLinker, cids):
+    """Runtime (encoder-run) ``(concept, ancestors)`` pairs for cids."""
+    return [
+        (linker._concept_encoding(cid), linker._ancestor_encodings(cid))
+        for cid in cids
+    ]
+
+
+class TestDecoderStart:
+    """Step 0 depends only on the concept: the engine computes each
+    concept's ``(h_1, c_1, s̃_0, log Z_0)`` once, lazily, and every
+    decode starts at step 1."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("use_text,use_struct", ABLATIONS)
+    def test_start_table_step0_matches_oracle(
+        self, tmp_path, cell, use_text, use_struct
+    ):
+        ontology, kb, vocab = _heterogeneous_parts()
+        config = ComAidConfig(
+            dim=8,
+            beta=2,
+            cell=cell,
+            use_text_attention=use_text,
+            use_structure_attention=use_struct,
+        )
+        model = ComAid(config, vocab, rng=31)
+        engine = _compiled_engine(model, ontology, kb, tmp_path / "artifact")
+        runtime = NeuralConceptLinker(model, ontology, LinkerConfig(), kb=kb)
+        cids = engine.artifact.cids
+        starts = engine._decoder_starts(np.arange(len(cids)))
+        dim = config.dim
+        # Step 0's log-prob of every word w: W_s[w]·s̃_0 + b[w] − log Z_0.
+        step0 = (
+            starts[:, 2 * dim : 3 * dim] @ model.output.weight.value.T
+            + model.output.bias.value
+            - starts[:, 3 * dim, None]
+        )
+        query = model.words_to_ids(["pain"])
+        for position, (encoding, ancestors) in enumerate(
+            _runtime_candidates(runtime, cids)
+        ):
+            expected = oracle.step_log_probs(model, encoding, ancestors, query)
+            np.testing.assert_allclose(
+                step0[position], expected[0], rtol=0, atol=1e-12
+            )
+
+    def test_engine_decode_steps_only_query_words(self, tmp_path, monkeypatch):
+        ontology, kb, vocab = _heterogeneous_parts()
+        model = ComAid(ComAidConfig(dim=8, beta=2), vocab, rng=29)
+        engine = _compiled_engine(model, ontology, kb, tmp_path / "artifact")
+        cids = list(engine.artifact.cids) * 2
+        rng = np.random.default_rng(37)
+        queries = [_vocab_query(model, rng, int(rng.integers(1, 6))) for _ in cids]
+        engine.score_batch(queries, cids)  # fills the start table
+        cell = model.decoder.cell
+        step_batch = cell.step_batch
+        seen = []
+
+        def spy(x, h, c):
+            seen.append(x.shape[0])
+            return step_batch(x, h, c)
+
+        monkeypatch.setattr(cell, "step_batch", spy)
+        engine.score_batch(queries, cids)
+        # Step 0 came from the table: one recurrent row-step per query
+        # word (the <eos> step included), not per word + 1.
+        assert sum(seen) == sum(len(query) for query in queries)
+        assert seen[0] == len(cids)
+
+    def test_repeated_concept_start_computed_once(self, tmp_path, monkeypatch):
+        ontology, kb, vocab = _heterogeneous_parts()
+        model = ComAid(ComAidConfig(dim=8, beta=2), vocab, rng=29)
+        engine = _compiled_engine(model, ontology, kb, tmp_path / "artifact")
+        calls = []
+        decoder_start = model.decoder_start
+
+        def spy(memory, rows):
+            calls.append(list(rows))
+            return decoder_start(memory, rows)
+
+        monkeypatch.setattr(model, "decoder_start", spy)
+        cids = engine.artifact.cids
+        batch = [cids[0], cids[1], cids[0], cids[2], cids[1], cids[0]]
+        rng = np.random.default_rng(41)
+        queries = [_vocab_query(model, rng, 2) for _ in batch]
+        first = engine.score_batch(queries, batch)
+        assert calls == [[0, 1, 2]]
+        again = engine.score_batch(queries[::-1], batch[::-1])
+        assert len(calls) == 1, "a second decode computed a start"
+        np.testing.assert_allclose(again, first[::-1], rtol=0, atol=TOLERANCE)
+        # The runtime-encoding path: once per distinct concept per call.
+        runtime = NeuralConceptLinker(model, ontology, LinkerConfig(), kb=kb)
+        candidates = _runtime_candidates(runtime, batch)
+        scores = model.score_batch(queries, candidates)
+        assert len(calls) == 2 and len(calls[1]) == 3
+        np.testing.assert_allclose(
+            scores,
+            oracle.score_rows(model, queries, candidates),
+            rtol=0,
+            atol=TOLERANCE,
+        )
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("use_text,use_struct", ABLATIONS)
+    def test_widest_and_one_word_descriptions_match_oracle(
+        self, tmp_path, cell, use_text, use_struct
+    ):
+        ontology, kb, vocab = _heterogeneous_parts()
+        config = ComAidConfig(
+            dim=8,
+            beta=2,
+            cell=cell,
+            use_text_attention=use_text,
+            use_structure_attention=use_struct,
+        )
+        model = ComAid(config, vocab, rng=43)
+        engine = _compiled_engine(model, ontology, kb, tmp_path / "artifact")
+        runtime = NeuralConceptLinker(model, ontology, LinkerConfig(), kb=kb)
+        widths = {
+            cid: len(ontology.get(cid).words) for cid in engine.artifact.cids
+        }
+        widest = max(widths, key=widths.get)
+        narrowest = min(widths, key=widths.get)
+        assert widths[narrowest] == 1 and widths[widest] == 6
+        cids = [narrowest, widest, widest, narrowest, widest]
+        candidates = _runtime_candidates(runtime, cids)
+        rng = np.random.default_rng(47)
+        for lengths in ([1, 3, 1, 4, 2], [1] * len(cids)):
+            queries = [_vocab_query(model, rng, length) for length in lengths]
+            np.testing.assert_allclose(
+                engine.score_batch(queries, cids),
+                oracle.score_rows(model, queries, candidates),
+                rtol=0,
+                atol=TOLERANCE,
+            )
+
+    def test_swap_scores_with_the_new_model(self, tmp_path):
+        ontology, kb, vocab = _heterogeneous_parts()
+        config = ComAidConfig(dim=8, beta=2)
+        old, new = ComAid(config, vocab, rng=29), ComAid(config, vocab, rng=53)
+        compile_artifact(tmp_path / "old", old, ontology, kb=kb)
+        linker = NeuralConceptLinker(
+            old,
+            ontology,
+            LinkerConfig(k=10, artifact_dir=str(tmp_path / "old")),
+            kb=kb,
+        )
+        queries = TestHeterogeneousCandidates.QUERIES
+        before = linker.link_batch(queries)  # fills the old start table
+        engine = _compiled_engine(new, ontology, kb, tmp_path / "new")
+        linker.swap_engine(new, engine, artifact_dir=str(tmp_path / "new"))
+        after = linker.link_batch(queries)
+        for served, reference in zip(after, oracle.link_batch(linker, queries)):
+            _assert_links_equivalent(served, reference)
+        changed = [
+            a.log_prob != b.log_prob
+            for old_result, new_result in zip(before, after)
+            for a, b in zip(old_result.ranked, new_result.ranked)
+        ]
+        assert any(changed), "the swap left every score unchanged"
+
+    def test_inference_sigmoid_matches_training_sigmoid(self):
+        x = np.concatenate(
+            [
+                np.linspace(-1000.0, 1000.0, 200001),
+                [-745.0, -709.0, 709.0, 745.0, 0.0, -0.0],
+            ]
+        )
+        expected = sigmoid(x)
+        with np.errstate(all="raise"):
+            got = sigmoid_inplace(x.copy())
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
 class TestFusedPhase2Equivalence:

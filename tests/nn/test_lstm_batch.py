@@ -2,7 +2,7 @@
 
 Every vectorized op introduced for batched Phase-II scoring is checked
 against its sequential reference applied row-wise: ``step_batch`` vs
-``step``, ``forward_batch`` vs ``forward``, masked batched attention vs
+``step``, masked batched attention vs
 per-row attention over the unpadded memory, and the batched softmax /
 log-prob helpers vs their 1-D counterparts.  Includes gradcheck-style
 finite-difference spot checks that the batched step computes the same
@@ -20,8 +20,8 @@ from repro.nn.functional import (
     softmax,
     softmax_cross_entropy,
 )
-from repro.nn.gru import GRUCell, GRUEncoder
-from repro.nn.lstm import LSTMCell, LSTMEncoder
+from repro.nn.gru import GRUCell
+from repro.nn.lstm import LSTMCell
 
 RNG = np.random.default_rng(20180611)
 
@@ -82,42 +82,9 @@ class TestLSTMStepBatch:
             )
 
 
-class TestLSTMForwardBatch:
-    def setup_method(self):
-        self.encoder = LSTMEncoder(4, 6, rng=2)
-
-    def test_rows_match_sequential_forward(self):
-        batch, steps = 5, 9
-        inputs = _rows((batch, steps, 4))
-        h0, c0 = _rows((batch, 6)), _rows((batch, 6))
-        states = self.encoder.forward_batch(inputs, h0=h0, c0=c0)
-        assert states.shape == (batch, steps, 6)
-        for row in range(batch):
-            reference, _ = self.encoder.forward(
-                inputs[row], h0=h0[row], c0=c0[row]
-            )
-            np.testing.assert_allclose(states[row], reference, atol=1e-12)
-
-    def test_default_zero_initial_state(self):
-        inputs = _rows((3, 4, 4))
-        states = self.encoder.forward_batch(inputs)
-        for row in range(3):
-            reference, _ = self.encoder.forward(inputs[row])
-            np.testing.assert_allclose(states[row], reference, atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            self.encoder.forward_batch(np.empty((0, 3, 4)))
-        with pytest.raises(ValueError):
-            self.encoder.forward_batch(np.empty((2, 0, 4)))
-        with pytest.raises(ValueError):
-            self.encoder.forward_batch(_rows((2, 3)))
-
-
 class TestGRUBatch:
     def setup_method(self):
         self.cell = GRUCell(5, 7, rng=3)
-        self.encoder = GRUEncoder(4, 6, rng=4)
 
     def test_step_batch_rows_match(self):
         batch = 6
@@ -133,14 +100,6 @@ class TestGRUBatch:
         with_c, _ = self.cell.step_batch(x, h0, _rows((2, 7)))
         without_c, _ = self.cell.step_batch(x, h0)
         np.testing.assert_array_equal(with_c, without_c)
-
-    def test_forward_batch_rows_match(self):
-        inputs = _rows((4, 7, 4))
-        h0 = _rows((4, 6))
-        states = self.encoder.forward_batch(inputs, h0=h0, c0=_rows((4, 6)))
-        for row in range(4):
-            reference, _ = self.encoder.forward(inputs[row], h0=h0[row])
-            np.testing.assert_allclose(states[row], reference, atol=1e-12)
 
 
 class TestBatchedAttention:

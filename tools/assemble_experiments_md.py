@@ -40,7 +40,7 @@ reproduction runs synthetic substitute corpora (DESIGN.md §2) with
 | Fig 7 | NCL best Acc & MRR on both datasets; pkduck 2nd, better as θ↓; NC/Doc2Vec trail | mostly: NCL clearly first on mimic-iii-like and ties best MRR on hospital-x-like, where WMD/pkduck(0.1) reach the same accuracy band (±0.01) — synthetic noise is more word-alignable than ward language; NC/LR+/Doc2Vec trail as in the paper |
 | Fig 8 | pre-training gap > 0.1 at every d | yes (gap larger here: with a small corpus, pre-training carries more signal) |
 | Fig 10 | representations shift per feedback; fed pair absorbed | yes (nonzero PCA shifts every step; the fed pair's loss falls in 2 of 3 steps — single-pair incremental updates are noisy at this scale) |
-| Fig 11 | time grows with k and query length; ED dominates; hospital-x slower | yes (ED ≈ 83–89% of online time across k) |
+| Fig 11 | time grows with k and query length; ED dominates; hospital-x slower | yes (ED ≈ 82–87% of online time across k) |
 | Fig 12 | training time ~linear in data; refinement costlier than pre-training | yes per item (absolute gap is a corpus/pair-ratio artifact at bench scale; see section note) |
 | Fig 13 | Acc mildly falls with more concepts; falls with less unlabeled data but stays usable | yes |
 | extra ablations | — | Phase II ≈ keyword matcher at bench scale (honest finding), rewriting clearly helps, GRU ≈ LSTM, sampled softmax quality-neutral, RRF fusion ≥ weaker member |

@@ -9,8 +9,7 @@ Ten commands cover the deployment lifecycle:
   records per-epoch telemetry for ``repro runs``);
 * ``compile`` — precompile every concept's encoder states, structure
   memories, and Phase-I index into a checksummed artifact directory
-  that ``link``/``serve`` can mount via ``--artifact-dir`` (and shard
-  with ``--shards``);
+  that ``link``/``serve`` can mount via ``--artifact-dir``;
 * ``link`` — load a saved pipeline and link one or more queries;
 * ``trace`` — link queries with tracing forced on and print each
   request's span tree (the offline twin of ``GET /v1/traces``); with
@@ -51,7 +50,7 @@ Example session::
     python -m repro runs --dir runs/
     python -m repro evaluate --model model/ --data data/ --limit 100
     python -m repro serve --model model/ --artifact-dir artifact/ \\
-        --shards 4 --port 8080 --log-json
+        --port 8080 --log-json
 """
 
 from __future__ import annotations
@@ -116,18 +115,6 @@ _FLAG_TO_FIELD = {
 }
 
 
-def _shards_value(text: str) -> object:
-    """``--shards`` parser: a positive integer or the literal ``auto``."""
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
-        )
-
-
 def _flag_overrides(
     args: argparse.Namespace, defaults: dict
 ) -> dict:
@@ -154,8 +141,6 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     linker_overrides = _flag_overrides(args, _LINKER_FLAG_DEFAULTS)
     if getattr(args, "artifact_dir", None) is not None:
         linker_overrides["artifact_dir"] = args.artifact_dir
-    if getattr(args, "shards", None) is not None:
-        linker_overrides["shards"] = args.shards
     if getattr(args, "retrieval_mode", None) is not None:
         import dataclasses
 
@@ -859,11 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve from a compiled concept artifact (`repro compile`)",
     )
     link.add_argument(
-        "--shards", type=_shards_value, default=None,
-        help="scatter-gather shard count, or 'auto' to size to the "
-        "machine (requires --artifact-dir)",
-    )
-    link.add_argument(
         "--retrieval-mode",
         choices=["exact", "sparse", "dense", "hybrid"], default=None,
         help="Phase-I retrieval strategy (non-exact modes require "
@@ -956,11 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="declare tenant NAME serving compiled artifact DIR over the "
         "shared --model pipeline (repeatable; enables the multi-tenant "
         "tier; the first pair is the default tenant)",
-    )
-    serve.add_argument(
-        "--shards", type=_shards_value, default=None,
-        help="scatter-gather shard count, or 'auto' to size to the "
-        "machine (requires --artifact-dir)",
     )
     serve.add_argument(
         "--retrieval-mode",

@@ -7,12 +7,10 @@ top-``k`` cosine-similar concepts.  The matcher also exposes the
 ontology word vocabulary Ω that query rewriting replaces OOV words
 into.
 
-For the sharded engine (:mod:`repro.engine.shards`) a generator can be
-restricted to a shard's concepts while weighting with the *global*
-corpus statistics (``corpus_stats``), which keeps every shard's cosines
-on the same scale as one monolithic index — the precondition for
-scatter-gather top-k merging to reproduce the unsharded ranking
-exactly.
+The concept engine (:mod:`repro.engine.concept_engine`) builds its
+generator from a compiled artifact's frozen documents
+(:meth:`CandidateGenerator.from_documents`), and an engine-backed
+linker adopts that generator as its own.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.ontology.ontology import Ontology
-from repro.text.tfidf import CorpusStats, TfIdfIndex
+from repro.text.tfidf import TfIdfIndex
 from repro.text.tokenize import tokenize
 from repro.utils.errors import ConfigurationError
 
@@ -63,43 +61,38 @@ class CandidateGenerator:
         kb: Optional[KnowledgeBase] = None,
         index_aliases: bool = True,
         restrict_to: Optional[Sequence[str]] = None,
-        corpus_stats: Optional[CorpusStats] = None,
     ) -> None:
         """Index the ontology's fine-grained concepts.
 
         ``restrict_to`` limits the index to the named concepts (in
-        ontology order); ``corpus_stats`` overrides the IDF statistics
-        with externally supplied global ones, so a restricted (shard)
-        index scores on the same scale as the full index.
+        ontology order).
         """
         documents = concept_documents(
             ontology, kb=kb, index_aliases=index_aliases, restrict_to=restrict_to
         )
-        self._finish_init(ontology, documents, corpus_stats)
+        self._finish_init(ontology, documents)
 
     @classmethod
     def from_documents(
         cls,
         ontology: Ontology,
         documents: Sequence[Tuple[str, Sequence[str]]],
-        corpus_stats: Optional[CorpusStats] = None,
     ) -> "CandidateGenerator":
         """Build a generator over pre-frozen index documents.
 
-        The sharded engine constructs one generator per shard from the
-        compiled artifact's frozen documents (not from live ontology +
-        KB state), so index contents can never drift from the
-        precomputed encodings they were compiled with.
+        The concept engine constructs its generator from the compiled
+        artifact's frozen documents (not from live ontology + KB
+        state), so index contents can never drift from the precomputed
+        encodings they were compiled with.
         """
         generator = cls.__new__(cls)
-        generator._finish_init(ontology, list(documents), corpus_stats)
+        generator._finish_init(ontology, list(documents))
         return generator
 
     def _finish_init(
         self,
         ontology: Ontology,
         documents: List[Tuple[str, Sequence[str]]],
-        corpus_stats: Optional[CorpusStats],
     ) -> None:
         if not documents:
             raise ConfigurationError("no fine-grained concepts to index")
@@ -107,7 +100,7 @@ class CandidateGenerator:
         self._omega: Set[str] = set()
         for cid, _ in documents:
             self._omega.update(ontology.get(cid).words)
-        self._index = TfIdfIndex().fit(documents, stats=corpus_stats)
+        self._index = TfIdfIndex().fit(documents)
         self._leaf_cids = tuple(cid for cid, _ in documents)
 
     @property
@@ -119,15 +112,6 @@ class CandidateGenerator:
     def indexed_cids(self) -> Tuple[str, ...]:
         """The indexed concept ids, in ontology (tie-break) order."""
         return self._leaf_cids
-
-    def corpus_stats(self) -> CorpusStats:
-        """The index's corpus statistics (global ``df`` / ``doc_count``).
-
-        A full-ontology generator exports these once at compile time;
-        shard generators are then constructed with them so every
-        shard's scores stay merge-compatible.
-        """
-        return self._index.stats()
 
     def generate(self, tokens: Sequence[str], k: int) -> List[Tuple[str, float]]:
         """Top-``k`` candidate cids with their keyword-match scores."""

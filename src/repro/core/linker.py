@@ -132,13 +132,13 @@ class NeuralConceptLinker:
         cid must exist in the ontology.
 
         ``engine`` injects a pre-built
-        :class:`repro.engine.shards.ShardedConceptEngine`; without one,
+        :class:`repro.engine.concept_engine.ConceptEngine`; without one,
         ``config.artifact_dir`` (if set) loads the compiled artifact —
         fingerprint-checked against ``model`` — and builds an engine
-        with ``config.shards`` shards.  With an engine active, Phase I
-        runs scatter-gather retrieval and Phase II scores from the
-        precomputed encoding slab; rankings are identical to the
-        runtime-encoding path.
+        over it.  With an engine active, Phase I runs on the engine's
+        index (adopted as ``self.candidates``, so one index is fitted)
+        and Phase II scores from the precomputed encoding slab;
+        rankings are identical to the runtime-encoding path.
         """
         self.model = model
         self.ontology = ontology
@@ -158,7 +158,7 @@ class NeuralConceptLinker:
             # Engine imports stay function-local: repro.engine.compile
             # imports the persistence layer, which imports this module.
             from repro.engine.compile import load_artifact
-            from repro.engine.shards import ShardedConceptEngine
+            from repro.engine.concept_engine import ConceptEngine
 
             artifact = load_artifact(
                 self.config.artifact_dir,
@@ -172,12 +172,8 @@ class NeuralConceptLinker:
                     f"with index_aliases={self.config.index_aliases}; "
                     "recompile or align the config"
                 )
-            self._engine = ShardedConceptEngine(
-                model,
-                ontology,
-                artifact,
-                shards=self.config.resolve_shards(),
-                retrieval=self.config.retrieval,
+            self._engine = ConceptEngine(
+                model, ontology, artifact, retrieval=self.config.retrieval
             )
         self._log_priors: Optional[Dict[str, float]] = None
         if priors is not None:
@@ -195,13 +191,11 @@ class NeuralConceptLinker:
                 cid: math.log(mass / total) for cid, mass in priors.items()
             }
         if self._engine is not None:
-            # The monolithic generator is rebuilt from the artifact's
-            # *frozen* documents (not live ontology + KB state) so Ω
-            # and any direct `candidates` use can never drift from what
-            # the engine's shards serve.
-            self.candidates = CandidateGenerator.from_documents(
-                ontology, self._engine.artifact.documents
-            )
+            # The engine's generator indexes the artifact's *frozen*
+            # documents (not live ontology + KB state), so Ω and any
+            # direct `candidates` use can never drift from what the
+            # engine serves.
+            self.candidates = self._engine.candidates
         else:
             self.candidates = CandidateGenerator(
                 ontology,
@@ -241,7 +235,7 @@ class NeuralConceptLinker:
 
     @property
     def engine(self) -> Optional[object]:
-        """The active sharded engine, or None (runtime-encoding path)."""
+        """The active concept engine, or None (runtime-encoding path)."""
         return self._engine
 
     @property
@@ -270,12 +264,12 @@ class NeuralConceptLinker:
         """Blue/green flip: adopt new weights and their compiled engine.
 
         Replaces the model and engine pointers and rebuilds everything
-        derived from them — Phase-I candidates (from the new artifact's
-        frozen documents), the OOV rewriter, the scoring vocabulary —
-        then *replaces* (not clears) the encoding caches: an in-flight
-        ``get_or_create`` computed against the old model can only land
-        in the orphaned cache object, so a stale encoding can never
-        score under the new fingerprint.  Returns the previous
+        derived from them — Phase-I candidates (the new engine's index
+        over its artifact's frozen documents), the OOV rewriter, the
+        scoring vocabulary — then *replaces* (not clears) the encoding
+        caches: an in-flight ``get_or_create`` computed against the old
+        model can only land in the orphaned cache object, so a stale
+        encoding can never score under the new fingerprint.  Returns the previous
         ``(model, engine)`` so the caller can roll back by swapping
         them straight back in.
 
@@ -300,9 +294,7 @@ class NeuralConceptLinker:
         self.model = model
         self._engine = engine
         if engine is not None:
-            self.candidates = CandidateGenerator.from_documents(
-                self.ontology, engine.artifact.documents
-            )
+            self.candidates = engine.candidates
         else:
             self.candidates = CandidateGenerator(
                 self.ontology,
@@ -472,7 +464,6 @@ class NeuralConceptLinker:
                 keyword_hits = []
             elif self._engine is not None:
                 keyword_hits = self._engine.retrieve(rewritten, top_k)
-                span.set_tag("shards", self._engine.shards)
             else:
                 keyword_hits = self.candidates.generate(rewritten, k=top_k)
             span.set_tag("candidates", len(keyword_hits))

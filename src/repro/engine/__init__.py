@@ -1,27 +1,24 @@
-"""Scale-out linking engine: precompiled concept artifacts + sharding.
+"""Linking engine over precompiled concept artifacts.
 
 The paper's online cost analysis (Section 5, Figure 11) shows the
 encode-decode forward passes dominating linking time, and its target
 deployments (full SNOMED/ICD-scale ontologies) are orders of magnitude
 larger than the fixtures — per-query concept encoding does not survive
 that scale.  This package moves every per-concept computation offline
-and partitions the online work:
+(Section 5.1):
 
 * :mod:`repro.engine.compile` — the ``repro compile`` step: encode
   every fine-grained concept once (final encoder states ``h_c``, the
   per-word text-attention memories, Def.-4.1 structure memories, and
   the Phase-I TF-IDF documents/statistics) into a versioned,
-  checksummed artifact directory written through the atomic
+  checksummed format-3 slab artifact written through the atomic
   persistence layer;
-* :mod:`repro.engine.shards` — partition the concept space into S
-  shards, each with its own Phase-I index (global IDF scale) and a
-  zero-copy slice of the precomputed encoding slab, with scatter-gather
-  top-k merging for Phase I and shard-local batched Phase-II scoring
-  on a persistent worker pool.
+* :mod:`repro.engine.concept_engine` — one Phase-I index over the
+  artifact's frozen documents and one lock-step Phase-II decode over
+  zero-copy views into its encoding slab.
 
-``S=1`` degenerates to the current in-thread path; rankings and
-log-probs are identical to the unsharded linker at any S (proven by
-``tests/engine/test_shards.py``).
+Rankings and log-probs are identical to the runtime-encoding linker
+(proven by ``tests/engine/test_engine.py``).
 """
 
 from repro.engine.compile import (
@@ -31,13 +28,12 @@ from repro.engine.compile import (
     load_artifact,
     verify_artifact,
 )
-from repro.engine.shards import ShardedConceptEngine, ShardFailure
+from repro.engine.concept_engine import ConceptEngine
 
 __all__ = [
     "ARTIFACT_FORMAT",
     "ConceptArtifact",
-    "ShardFailure",
-    "ShardedConceptEngine",
+    "ConceptEngine",
     "compile_artifact",
     "load_artifact",
     "verify_artifact",

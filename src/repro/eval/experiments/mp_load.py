@@ -1,8 +1,8 @@
 """Multi-process serving load benchmark — forked workers vs one.
 
-``BENCH_shard.json`` showed the threaded tier topping out at the GIL:
-shard threads cannot buy end-to-end qps because Phase-II decode is
-pure Python + NumPy.  The multi-process tier
+The threaded tier tops out at the GIL: a since-removed thread-pool
+sharding of the engine measured 4 threads at 653 qps against 722 for
+one (1 CPU), because Phase-II decode is pure Python + NumPy.  The multi-process tier
 (:class:`~repro.serving.service.ProcPoolLinkingService`) forks N
 workers that mmap one compiled slab and decode in parallel outside
 the parent's GIL.  This runner measures what that buys under a

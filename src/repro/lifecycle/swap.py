@@ -113,7 +113,7 @@ class ArtifactSwapper:
         behaviour differs only by the artifact contents.
         """
         from repro.engine.compile import load_artifact
-        from repro.engine.shards import ShardedConceptEngine
+        from repro.engine.concept_engine import ConceptEngine
         from repro.lifecycle.shadow import ShadowScorer
 
         with self._lock:
@@ -131,11 +131,10 @@ class ArtifactSwapper:
             primary = self.service.linker
             candidate_dir = Path(artifact_dir)
             artifact = load_artifact(candidate_dir, model=model, verify=True)
-            engine = ShardedConceptEngine(
+            engine = ConceptEngine(
                 model,
                 primary.ontology,
                 artifact,
-                shards=primary.config.resolve_shards(),
                 retrieval=primary.config.retrieval,
             )
             linker = NeuralConceptLinker(
@@ -250,10 +249,8 @@ class ArtifactSwapper:
                     ),
                 )
             with self._lock:
-                # Retire the *older* previous deployment only now that
-                # the flip has succeeded; keep one generation for
-                # manual rollback.
-                old_previous = self._previous
+                # Keep one generation (replacing the older one only now
+                # that the flip has succeeded) for manual rollback.
                 self._previous = previous
                 self._promotions += 1
                 new_fingerprint = self._candidate_engine.fingerprint
@@ -264,8 +261,6 @@ class ArtifactSwapper:
                 self._candidate_dir = None
                 self._state = "idle"
                 self._last_report = report
-            if old_previous is not None and old_previous[1] is not None:
-                old_previous[1].close()
             self.service.metrics.counter("lifecycle_promotions").inc()
             LOGGER.info(
                 "promoted candidate %s (was %s)",
@@ -327,7 +322,6 @@ class ArtifactSwapper:
             if not had_candidate and previous is None:
                 raise LifecycleError("nothing to roll back")
         restored = False
-        demoted: Optional[Tuple[Any, Any]] = None
         if not had_candidate:
             # Post-promote rollback: re-install the retained previous
             # (model, engine) generation.  exclusive() is taken while
@@ -336,7 +330,7 @@ class ArtifactSwapper:
             # lock, so nesting them the other way would deadlock.
             previous_model, previous_engine = previous
             with self.service.exclusive():
-                demoted = self.service.linker.swap_engine(
+                self.service.linker.swap_engine(
                     previous_model, previous_engine
                 )
             restored = True
@@ -345,7 +339,6 @@ class ArtifactSwapper:
                 self._previous = None
             probe("lifecycle.rollback")
             shadow = self._shadow
-            engine = self._candidate_engine
             self._shadow = None
             self._candidate_model = None
             self._candidate_engine = None
@@ -361,10 +354,6 @@ class ArtifactSwapper:
                 self._last_report = report
         if shadow is not None:
             shadow.close()
-        if engine is not None:
-            engine.close()
-        if restored and demoted is not None and demoted[1] is not None:
-            demoted[1].close()
         self.service.metrics.counter("lifecycle_rollbacks").inc()
         self.service.metrics.counter(f"lifecycle_rollback.{reason}").inc()
         LOGGER.warning("lifecycle rollback: %s", reason)
@@ -376,7 +365,6 @@ class ArtifactSwapper:
         """Release the candidate (if any) without booking a rollback."""
         with self._lock:
             shadow = self._shadow
-            engine = self._candidate_engine
             self._shadow = None
             self._candidate_model = None
             self._candidate_engine = None
@@ -385,8 +373,6 @@ class ArtifactSwapper:
             self._state = "idle"
         if shadow is not None:
             shadow.close()
-        if engine is not None:
-            engine.close()
 
     def stats(self) -> Dict[str, Any]:
         """JSON-ready state + reason codes for ``/v1/metrics``."""

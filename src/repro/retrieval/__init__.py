@@ -27,7 +27,7 @@ the always-available reference path:
 
 Mode selection, ``nprobe``, and fusion knobs travel through
 :class:`repro.core.config.RetrievalConfig`;
-:class:`repro.engine.shards.ShardedConceptEngine` dispatches Phase I
+:class:`repro.engine.concept_engine.ConceptEngine` dispatches Phase I
 on it (``exact`` remains the default and the correctness oracle).
 """
 

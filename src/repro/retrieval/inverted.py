@@ -102,20 +102,15 @@ class InvertedIndex:
 
     @classmethod
     def build(
-        cls,
-        documents: Sequence[Tuple[Hashable, Sequence[str]]],
-        stats: Optional[CorpusStats] = None,
+        cls, documents: Sequence[Tuple[Hashable, Sequence[str]]]
     ) -> "InvertedIndex":
-        """Index ``(key, tokens)`` documents (optionally global stats).
+        """Index ``(key, tokens)`` documents.
 
         Delegates weight computation to ``TfIdfIndex.fit`` — the same
         tf/idf formulas, the same smoothing — then freezes its postings
-        into arrays.  ``stats`` has the usual meaning: external global
-        document frequencies so a partial index scores on the corpus
-        scale.
+        into arrays.
         """
-        reference = TfIdfIndex().fit(documents, stats=stats)
-        return cls.from_tfidf(reference)
+        return cls.from_tfidf(TfIdfIndex().fit(documents))
 
     @classmethod
     def from_tfidf(cls, reference: TfIdfIndex) -> "InvertedIndex":

@@ -1,10 +1,11 @@
 """Forked worker processes serving linker batches over pipes.
 
-The threaded tier tops out at the GIL: ``BENCH_shard.json`` shows 4
-shard threads *losing* to 1 on end-to-end qps, because Phase-II decode
-is pure Python + NumPy on shared bytecode.  This module converts shard
-parallelism into wall-clock throughput the only way CPython allows —
-separate processes:
+The threaded tier tops out at the GIL: a since-removed thread-pool
+sharding of the engine measured 4 threads *losing* to 1 on end-to-end
+qps (653 vs 722 on 1 CPU), because Phase-II decode is pure Python +
+NumPy on shared bytecode.  This module turns parallelism into
+wall-clock throughput the only way CPython allows — separate
+processes:
 
 * workers are **forked** (``multiprocessing.get_context("fork")``), so
   the model, ontology, and configuration the ``build_linker`` closure

@@ -391,8 +391,8 @@ class LinkingService:
         report["pipeline"] = dict(
             getattr(self.linker, "pipeline_metadata", None) or {}
         )
-        # Sharded-engine counters (shard sizes, scatter-gather failure
-        # counts) when the linker serves from a compiled artifact.
+        # Concept-engine counters (retrievals by mode, score batches)
+        # when the linker serves from a compiled artifact.
         engine = getattr(self.linker, "engine", None)
         if engine is not None:
             report["engine"] = engine.stats()

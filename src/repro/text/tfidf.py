@@ -35,14 +35,9 @@ class TfIdfMatch:
 class CorpusStats:
     """Document frequencies of a whole corpus, detached from any index.
 
-    A sharded deployment partitions the concept documents across
-    several :class:`TfIdfIndex` instances but must keep every shard's
-    scores on the *global* scale — IDF computed over a shard's slice
-    would weight terms differently per shard and break scatter-gather
-    merging.  ``CorpusStats`` carries the global ``df`` / ``doc_count``
-    so each shard can be fitted with :meth:`TfIdfIndex.fit` s
-    ``stats=`` override and produce cosines bit-identical to one
-    monolithic index over the full corpus.
+    The compiled concept artifact records these in its header, and
+    :meth:`repro.retrieval.inverted.InvertedIndex.from_arrays` rebuilds
+    its IDF weights from them.
     """
 
     doc_count: int
@@ -82,30 +77,16 @@ class TfIdfIndex:
     # -- construction -------------------------------------------------
 
     def fit(
-        self,
-        documents: Iterable[Tuple[Hashable, Sequence[str]]],
-        stats: Optional[CorpusStats] = None,
+        self, documents: Iterable[Tuple[Hashable, Sequence[str]]]
     ) -> "TfIdfIndex":
-        """Index ``(key, tokens)`` documents. Replaces any prior state.
-
-        ``stats`` substitutes external corpus statistics for the ones
-        derived from ``documents``: IDF weights (document *and* query
-        side) are then computed from the supplied global ``df`` /
-        ``doc_count`` instead of the indexed slice.  This is how a
-        shard over a subset of the concept documents produces cosines
-        identical to a monolithic index over all of them.
-        """
+        """Index ``(key, tokens)`` documents. Replaces any prior state."""
         staged: List[Tuple[Hashable, Counter]] = []
         self._df = Counter()
         for key, tokens in documents:
             term_freq = Counter(tokens)
             staged.append((key, term_freq))
             self._df.update(term_freq.keys())
-        if stats is not None:
-            self._df = Counter(stats.df)
-            self._doc_count = stats.doc_count
-        else:
-            self._doc_count = len(staged)
+        self._doc_count = len(staged)
         self._keys = []
         self._norms = []
         self._postings = {}
@@ -143,13 +124,6 @@ class TfIdfIndex:
             raise NotFittedError("TfIdfIndex.search called before fit")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # Terms are admitted by *corpus* document frequency, not by
-        # membership in this index's postings: under external stats a
-        # term can exist in the corpus but have no postings in this
-        # shard, and it must still contribute to the query norm or the
-        # shard's cosines would leave the global scale.  Without
-        # external stats df > 0 iff the term has postings, so the
-        # behaviour is unchanged.
         query_freq = Counter(tokens)
         query_weights = {
             term: self._tf_weight(count) * self._idf(term)
@@ -195,14 +169,12 @@ class TfIdfIndex:
     # -- introspection --------------------------------------------------
 
     def stats(self) -> CorpusStats:
-        """This index's corpus statistics, reusable as a ``fit`` override."""
+        """This index's corpus statistics (the artifact header records them)."""
         if not self._fitted:
             raise NotFittedError("TfIdfIndex.stats called before fit")
         return CorpusStats(doc_count=self._doc_count, df=dict(self._df))
 
     def __len__(self) -> int:
-        # Locally indexed documents — under external stats this differs
-        # from the (global) ``doc_count`` driving the IDF weights.
         return len(self._keys)
 
     @property

@@ -36,7 +36,7 @@ from repro.core.config import ComAidConfig, LinkerConfig, ServingConfig
 from repro.core.linker import NeuralConceptLinker
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.engine.compile import compile_artifact, load_artifact
-from repro.engine.shards import ShardedConceptEngine
+from repro.engine.concept_engine import ConceptEngine
 from repro.nn.functional import (
     batched_target_log_probs,
     log_softmax,
@@ -429,9 +429,9 @@ class TestHeterogeneousCandidates:
         ) <= TOLERANCE
 
 
-def _compiled_engine(model, ontology, kb, directory) -> ShardedConceptEngine:
+def _compiled_engine(model, ontology, kb, directory) -> ConceptEngine:
     compile_artifact(directory, model, ontology, kb=kb)
-    return ShardedConceptEngine(
+    return ConceptEngine(
         model, ontology, load_artifact(directory, model=model)
     )
 

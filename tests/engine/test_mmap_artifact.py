@@ -1,11 +1,13 @@
-"""The format-3 slab: mmap loads, back-compat, and corruption detection.
+"""The format-3 slab: mmap loads, old-format refusal, and corruption
+detection.
 
 The slab replaced the compressed ``.npz`` pair so artifacts can be
 *mapped* instead of copied: ``load_artifact(..., mmap=True)`` returns
 read-only views over one ``np.memmap``, byte-identical to the copy
-path.  Formats 1–2 keep loading through the legacy npz path (mmap
-falls back to a copy), and any torn or flipped slab byte is a
-:class:`DataError` naming ``slab.bin`` before a single query runs.
+path.  Formats 1–2 (the npz layout) are refused with a
+:class:`DataError` asking for ``repro compile``, and any torn or
+flipped slab byte is a :class:`DataError` naming ``slab.bin`` before a
+single query runs.
 """
 
 import json
@@ -71,30 +73,31 @@ class TestMmapLoad:
 
 class TestLegacyFormats:
     @pytest.mark.parametrize("fmt", [1, 2])
-    def test_old_layout_loads_with_mmap_falling_back_to_copy(
-        self, fmt, engine_stack, tmp_path
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_old_layout_is_refused_by_load_artifact(
+        self, fmt, verify, engine_stack, tmp_path
     ):
         _, _, model, artifact_dir = engine_stack
         legacy = write_legacy_artifact(
             artifact_dir, tmp_path / f"format{fmt}", fmt
         )
-        new = load_artifact(artifact_dir, model=model)
-        # mmap requested but unavailable pre-slab: the loader serves
-        # the npz copy path instead of failing the deployment.
-        old = load_artifact(legacy, model=model, mmap=True)
-        assert old.format == fmt
-        assert not old.mmap
-        for name in SLAB_ARRAYS:
-            np.testing.assert_array_equal(
-                getattr(old, name), getattr(new, name)
-            )
+        with pytest.raises(
+            DataError, match=rf"format {fmt}\b.*repro compile"
+        ):
+            load_artifact(legacy, model=model, verify=verify, mmap=True)
 
-    def test_legacy_artifact_still_verifies(self, engine_stack, tmp_path):
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_old_layout_is_refused_by_verify_artifact(
+        self, fmt, engine_stack, tmp_path
+    ):
         _, _, _, artifact_dir = engine_stack
-        legacy = write_legacy_artifact(artifact_dir, tmp_path / "fmt2", 2)
-        header = verify_artifact(legacy)
-        assert header["format"] == 2
-        assert "slab" not in header
+        legacy = write_legacy_artifact(
+            artifact_dir, tmp_path / f"format{fmt}", fmt
+        )
+        with pytest.raises(
+            DataError, match=rf"format {fmt}\b.*repro compile"
+        ):
+            verify_artifact(legacy)
 
 
 class TestSlabCorruption:

@@ -1,4 +1,4 @@
-"""Engine retrieval modes: exact bit-identity, compiled indexes, back-compat."""
+"""Engine retrieval modes: exact bit-identity, compiled indexes, format gate."""
 
 import json
 import shutil
@@ -9,12 +9,11 @@ from repro.core.config import RetrievalConfig
 from repro.core.persistence import write_manifest
 from repro.engine.compile import (
     ARTIFACT_FILE,
-    DENSE_INDEX_FILE,
     SPARSE_INDEX_FILE,
     compile_artifact,
     load_artifact,
 )
-from repro.engine.shards import ShardedConceptEngine
+from repro.engine.concept_engine import ConceptEngine
 from repro.text.tokenize import tokenize
 from repro.utils.errors import ConfigurationError, DataError
 
@@ -35,7 +34,7 @@ def indexed_stack(engine_stack, tmp_path_factory):
 
 def make_engine(stack, mode, **knobs):
     ontology, _, model, _, artifact = stack
-    return ShardedConceptEngine(
+    return ConceptEngine(
         model,
         ontology,
         artifact,
@@ -111,8 +110,8 @@ class TestEngineModes:
         """A format-3 artifact compiled with --index none still serves
         sparse mode (the engine freezes the index at start)."""
         ontology, _, model, _ = engine_stack
-        exact = ShardedConceptEngine(model, ontology, artifact)
-        sparse = ShardedConceptEngine(
+        exact = ConceptEngine(model, ontology, artifact)
+        sparse = ConceptEngine(
             model,
             ontology,
             artifact,
@@ -126,7 +125,7 @@ class TestEngineModes:
         ontology, _, model, _ = engine_stack
         for mode in ("dense", "hybrid"):
             with pytest.raises(ConfigurationError, match="repro compile"):
-                ShardedConceptEngine(
+                ConceptEngine(
                     model,
                     ontology,
                     artifact,
@@ -134,37 +133,12 @@ class TestEngineModes:
                 )
 
 
-class TestFormat1BackCompat:
+class TestUnsupportedFormats:
     @pytest.fixture()
     def format1_dir(self, engine_stack, tmp_path):
         """A pre-retrieval (format-1) artifact, as an old build wrote it."""
         _, _, _, artifact_dir = engine_stack
-        clone = write_legacy_artifact(artifact_dir, tmp_path / "format1", 1)
-        assert not (clone / SPARSE_INDEX_FILE).exists()
-        assert not (clone / DENSE_INDEX_FILE).exists()
-        return clone
-
-    def test_format_1_artifact_loads_verified(self, engine_stack, format1_dir):
-        _, _, model, _ = engine_stack
-        artifact = load_artifact(format1_dir, model=model, verify=True)
-        assert artifact.format == 1
-        assert artifact.sparse_index is None
-        assert artifact.dense_index is None
-
-    def test_format_1_serves_exact_and_sparse(self, engine_stack, format1_dir):
-        ontology, _, model, artifact_dir = engine_stack
-        old = load_artifact(format1_dir, model=model)
-        new = load_artifact(artifact_dir, model=model)
-        old_engine = ShardedConceptEngine(model, ontology, old)
-        new_engine = ShardedConceptEngine(model, ontology, new)
-        sparse_engine = ShardedConceptEngine(
-            model, ontology, old, retrieval=RetrievalConfig(mode="sparse")
-        )
-        for query in ENGINE_QUERIES:
-            tokens = tokenize(query)
-            expected = new_engine.retrieve(tokens, 5)
-            assert old_engine.retrieve(tokens, 5) == expected
-            assert sparse_engine.retrieve(tokens, 5) == expected
+        return write_legacy_artifact(artifact_dir, tmp_path / "format1", 1)
 
     def test_unknown_format_rejected(self, engine_stack, format1_dir):
         _, _, model, _ = engine_stack

@@ -27,7 +27,6 @@ from repro.eval.experiments.fig13_robustness import (
     run_vary_concepts,
     run_vary_unlabeled,
 )
-from repro.eval.experiments.shard_scaling import run_shard_scaling
 
 DATASET = ("hospital-x-like",)
 
@@ -119,15 +118,3 @@ class TestExperimentSmoke:
         )
         assert len(unlabeled["hospital-x-like"]["acc"]) == 2
 
-    def test_shard_scaling(self, tmp_path):
-        results = run_shard_scaling(
-            scale=TINY, seed=1, k=5, queries_per_point=5, shards=2,
-            artifact_dir=str(tmp_path / "artifact"), verbose=False,
-        )
-        assert set(results["modes"]) == {
-            "runtime_cold", "engine_s1", "engine_s2",
-        }
-        assert results["rankings_identical"]
-        assert results["max_abs_log_prob_delta"] <= 1e-9
-        for mode in results["modes"].values():
-            assert mode["throughput_qps"] > 0

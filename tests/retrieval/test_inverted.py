@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.retrieval.inverted import InvertedIndex
-from repro.text.tfidf import CorpusStats, TfIdfIndex
+from repro.text.tfidf import TfIdfIndex
 from repro.utils.errors import DataError, NotFittedError
 
 token = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -14,10 +14,10 @@ document = st.lists(token, min_size=1, max_size=8)
 corpus = st.lists(document, min_size=1, max_size=16)
 
 
-def build_pair(documents, stats=None):
+def build_pair(documents):
     keyed = [(f"C{i}", doc) for i, doc in enumerate(documents)]
-    exact = TfIdfIndex().fit(keyed, stats=stats)
-    fast = InvertedIndex.build(keyed, stats=stats)
+    exact = TfIdfIndex().fit(keyed)
+    fast = InvertedIndex.build(keyed)
     return exact, fast
 
 
@@ -29,18 +29,6 @@ class TestBitIdentity:
         """Same hit set, same order, same float scores — dataclass ==."""
         exact, fast = build_pair(documents)
         assert fast.search(query, k=k) == exact.search(query, k=k)
-
-    @pytest.mark.property
-    @settings(max_examples=25, deadline=None)
-    @given(corpus, document)
-    def test_search_with_global_stats(self, documents, query):
-        """External corpus statistics flow through build unchanged."""
-        stats = CorpusStats(
-            doc_count=len(documents) + 50,
-            df={term: 3 for doc in documents for term in doc},
-        )
-        exact, fast = build_pair(documents, stats=stats)
-        assert fast.search(query, k=5) == exact.search(query, k=5)
 
     def test_large_tie_plateau_uses_partition_path(self):
         """> _FULL_SORT_LIMIT touched docs with equal scores: the

@@ -3,10 +3,10 @@ lifecycle over real HTTP, in a real subprocess.
 
 Trains a tiny pipeline via the CLI, boots ``repro serve`` on an
 ephemeral port, waits for readiness, links the dataset's own queries
-over ``POST /v1/link``, scrapes ``GET /v1/metrics``, and writes
-``BENCH_serving.json`` (latency p50/p95, cache hit rate, batch stats)
-at the repo root for the bench trajectory.  Marked slow, like the CLI
-lifecycle test it extends.
+over ``POST /v1/link``, scrapes ``GET /v1/metrics``, and writes a
+``BENCH_serving.json`` summary (latency p50/p95, cache hit rate, batch
+stats) into the test's workspace, so a test run never modifies the
+checkout.  Marked slow, like the CLI lifecycle test it extends.
 """
 
 import json
@@ -24,7 +24,6 @@ import pytest
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_PATH = REPO_ROOT / "BENCH_serving.json"
 
 
 def _post_link(base, queries, timeout=60.0):
@@ -149,8 +148,9 @@ class TestServingSmoke:
             },
             "batcher": metrics["batcher"],
         }
-        BENCH_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        assert json.loads(BENCH_PATH.read_text())["queries_linked"] == linked
+        bench_path = data.parent / "BENCH_serving.json"
+        bench_path.write_text(json.dumps(summary, indent=2) + "\n")
+        assert json.loads(bench_path.read_text())["queries_linked"] == linked
 
     def test_graceful_shutdown_on_sigterm(self, served):
         base, process = served

@@ -62,5 +62,7 @@ def test_every_public_class_and_function_is_documented():
 
 
 def test_public_api_reexports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    import repro.api
+
+    for name in repro.api.__all__:
+        assert hasattr(repro.api, name), name

@@ -9,7 +9,6 @@
 #   tools/run_tier1.sh --faults        # ... + fault drills
 #   tools/run_tier1.sh --bench-obs     # ... + tracing-overhead benchmark
 #   tools/run_tier1.sh --bench-obs-mp  # ... + cross-process tracing overhead
-#   tools/run_tier1.sh --bench-shard   # ... + shard-engine benchmark
 #   tools/run_tier1.sh --bench-retrieval  # ... + 100k retrieval benchmark
 #   tools/run_tier1.sh --bench-lifecycle  # ... + hot-swap lifecycle benchmark
 #   tools/run_tier1.sh --bench-mp      # ... + multi-process serving benchmark
@@ -36,10 +35,6 @@ for arg in "$@"; do
             echo "== cross-process tracing overhead (merges into BENCH_obs.json) =="
             python -m pytest -q benchmarks/test_obs_mp_overhead.py
             ;;
-        --bench-shard)
-            echo "== shard engine benchmark (writes BENCH_shard.json) =="
-            python -m pytest -q benchmarks/test_shard_engine.py
-            ;;
         --bench-retrieval)
             echo "== retrieval-at-scale benchmark (writes BENCH_retrieval.json) =="
             python -m pytest -q benchmarks/test_retrieval.py
@@ -57,7 +52,7 @@ for arg in "$@"; do
             python -m pytest -q benchmarks/test_tenant_serving.py
             ;;
         *)
-            echo "unknown flag: $arg (expected --faults, --bench-obs, --bench-obs-mp, --bench-shard, --bench-retrieval, --bench-lifecycle, --bench-mp and/or --bench-tenant)" >&2
+            echo "unknown flag: $arg (expected --faults, --bench-obs, --bench-obs-mp, --bench-retrieval, --bench-lifecycle, --bench-mp and/or --bench-tenant)" >&2
             exit 2
             ;;
     esac

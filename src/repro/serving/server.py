@@ -90,7 +90,26 @@ for retired routes (code ``gone``), 429 when a tenant's quota window
 is exhausted (code ``quota_exceeded``, with a ``Retry-After``
 header), 503 before readiness (code ``not_ready``) or under load
 shedding (code ``shed``), 504 on request timeout, and 500 for
-anything unexpected.  One OS thread per connection
+anything unexpected.  Protocol errors the stdlib handler detects before
+any route runs use the same envelope: 400 for a malformed request line
+(``bad_request``), 414 for an over-long URI (``uri_too_long``), 431 for
+too many header fields (``headers_too_large``), 501 for an unsupported
+method (``unsupported_method``) and 505 for an unsupported HTTP version
+(``unsupported_http_version``).
+
+**On the wire.**  Every response (JSON, Prometheus text and every
+error) leaves in one socket write: status line, headers and body as
+one bytes object, on a connection with ``TCP_NODELAY`` set.  Sent as
+two writes, the body waited under Nagle's algorithm for the client's
+ACK of the headers, which a delayed ACK holds back by up to 40 ms.
+Connections are keep-alive (HTTP/1.1).  A request body a route did not
+need is read and discarded before the answer, so it is never parsed as
+the next request.  The server answers ``Connection: close`` and closes
+when the client asked for it, after any protocol error, and when the
+body cannot be read: a ``Content-Length`` that is not an integer, is
+negative or exceeds ``MAX_BODY_BYTES``, or a chunked body.
+
+One OS thread per connection
 (``ThreadingHTTPServer``) is plenty here because the model-bound work
 is serialised by the batcher anyway; threads only overlap on parsing
 and I/O.
@@ -102,6 +121,7 @@ import json
 import math
 import signal
 import threading
+from http.client import HTTPMessage
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -128,6 +148,16 @@ MAX_QUERIES_PER_REQUEST = 256
 
 #: URL prefix of the current stable HTTP surface.
 V1_PREFIX = "/v1"
+
+#: Envelope codes for the protocol errors the stdlib handler detects
+#: itself, before any route runs (see ``send_error``).
+PROTOCOL_ERROR_CODES = {
+    400: "bad_request",
+    414: "uri_too_long",
+    431: "headers_too_large",
+    501: "unsupported_method",
+    505: "unsupported_http_version",
+}
 
 
 class BadRequestError(ValueError):
@@ -247,8 +277,62 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing -----------------------------------------------------------
 
+    # TCP_NODELAY on every accepted connection (StreamRequestHandler.setup
+    # applies it).  A response larger than one segment would otherwise
+    # have its last, partial segment held by Nagle's algorithm until the
+    # client ACKs the one before, which a delayed ACK puts off by up to
+    # 40 ms.
+    disable_nagle_algorithm = True
+
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         LOGGER.debug("%s %s", self.address_string(), format % args)
+
+    def handle_one_request(self) -> None:
+        # Per-request state, reset before the request line is read: a
+        # request whose line or headers fail to parse must neither trip
+        # over missing headers nor inherit the previous keep-alive
+        # request's (and with them its X-Request-ID).
+        self.headers = HTTPMessage()
+        self._body: Optional[bytes] = None
+        super().handle_one_request()
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Write one whole response to the socket in a single write.
+
+        The status line, headers, blank line and body go out as one
+        bytes object: written separately, the body would wait under
+        Nagle's algorithm for the client to ACK the headers.  A request
+        body the handler left unread is drained first or, when it
+        cannot be, the connection closes (``Connection: close``), so
+        its bytes are never parsed as the next request.  Draining even
+        before a close keeps the kernel from answering unread bytes
+        with a reset that could destroy the response in flight.
+        """
+        try:
+            self._read_body()
+        except BadRequestError:
+            pass  # _read_body marked the connection to close
+        self.log_request(status)
+        fields = {
+            "Server": self.version_string(),
+            "Date": self.date_time_string(),
+            "Content-Type": content_type,
+            "Content-Length": str(len(body)),
+            **(headers or {}),
+        }
+        if self.close_connection:
+            fields["Connection"] = "close"
+        reason = self.responses.get(status, ("",))[0]
+        head = f"{self.protocol_version} {status} {reason}\r\n" + "".join(
+            f"{name}: {value}\r\n" for name, value in fields.items()
+        )
+        self.wfile.write((head + "\r\n").encode("latin-1", "strict") + body)
 
     def _respond(
         self,
@@ -260,29 +344,33 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
         # client (or a capture in a bug report) is never ambiguous
         # about which surface produced it.
         payload.setdefault("api_version", API_VERSION)
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status,
+            "application/json",
+            json.dumps(payload).encode("utf-8"),
+            headers,
+        )
 
-    def _respond_text(
+    def send_error(
         self,
-        status: int,
-        text: str,
-        headers: Optional[Dict[str, str]] = None,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
     ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        """The stdlib's own protocol errors, in the one error envelope.
+
+        ``BaseHTTPRequestHandler`` calls this for a malformed request
+        line (400), an unsupported HTTP version (505), an over-long URI
+        (414), too many header fields (431) and an unsupported method
+        (501).  Its status is kept, and so is its ``Connection: close``:
+        after a protocol error the rest of the stream cannot be trusted.
+        """
+        message = message or self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._respond_error(
+            code, PROTOCOL_ERROR_CODES.get(code, "bad_request"), message
+        )
 
     def _request_id(self) -> str:
         """This request's correlation id (header-supplied or generated)."""
@@ -356,7 +444,6 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
         if legacy and path in ("/metrics", "/traces"):
             self._respond_gone(path)
             return
-        extra: Optional[Dict[str, str]] = None
         if path == "/healthz":
             if service.healthy:
                 self._respond(200, {"status": "ok"})
@@ -377,22 +464,21 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
             )
             snapshot = service.snapshot()
             if wants_text:
-                self._respond_text(
-                    200,
-                    render_prometheus(
-                        service.metrics,
-                        gauges=snapshot_gauges(snapshot),
-                        labeled=[
-                            *worker_series(snapshot),
-                            *tenant_series(snapshot),
-                        ],
-                    ),
-                    headers=extra,
+                text = render_prometheus(
+                    service.metrics,
+                    gauges=snapshot_gauges(snapshot),
+                    labeled=[
+                        *worker_series(snapshot),
+                        *tenant_series(snapshot),
+                    ],
+                )
+                self._send(
+                    200, "text/plain; version=0.0.4", text.encode("utf-8")
                 )
             else:
-                self._respond(200, snapshot, headers=extra)
+                self._respond(200, snapshot)
         elif path == "/traces":
-            self._respond_traces(params, extra)
+            self._respond_traces(params)
         elif path == "/admin/workers" and not legacy:
             snapshot = service.snapshot()
             frontend = snapshot.get("frontend")
@@ -453,9 +539,7 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
         else:
             self._respond_error(404, "not_found", f"no route for {self.path}")
 
-    def _respond_traces(
-        self, params: Dict[str, list], headers: Optional[Dict[str, str]]
-    ) -> None:
+    def _respond_traces(self, params: Dict[str, list]) -> None:
         tracer = self.server.service.tracer
         request_id = params.get("request_id", [None])[0]
         if request_id:
@@ -466,14 +550,9 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
                     "trace_not_found",
                     f"no retained trace for request {request_id!r} "
                     "(evicted from the ring buffer, or never sampled)",
-                    headers=headers,
                 )
                 return
-            self._respond(
-                200,
-                {"traces": [found], "stats": tracer.stats()},
-                headers=headers,
-            )
+            self._respond(200, {"traces": [found], "stats": tracer.stats()})
             return
         limit_raw = params.get("limit", [None])[0]
         limit: Optional[int] = None
@@ -485,13 +564,11 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
                     400,
                     "bad_request",
                     "'limit' must be an integer",
-                    headers=headers,
                 )
                 return
         self._respond(
             200,
             {"traces": tracer.traces(limit=limit), "stats": tracer.stats()},
-            headers=headers,
         )
 
     # -- POST ---------------------------------------------------------------
@@ -867,21 +944,45 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
                 500, "internal", "internal server error", request_id=request_id
             )
 
-    def _read_json(self) -> Any:
+    def _read_body(self) -> bytes:
+        """This request's body, read off the socket at most once.
+
+        A body the server will not read (a ``Content-Length`` that is
+        not an integer, is negative or exceeds ``MAX_BODY_BYTES``, or a
+        chunked body) marks the connection to close, since its unread
+        bytes would otherwise be parsed as the next request line; the
+        first two raise BadRequestError.
+        """
+        if self._body is not None:
+            return self._body
+        self._body = b""
         length_header = self.headers.get("Content-Length")
         if length_header is None:
-            raise BadRequestError("Content-Length header is required")
+            if "Transfer-Encoding" in self.headers:
+                self.close_connection = True
+            return self._body
         try:
             length = int(length_header)
         except ValueError:
+            self.close_connection = True
             raise BadRequestError("Content-Length must be an integer")
-        if length <= 0:
-            raise BadRequestError("request body is empty")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise BadRequestError(
                 f"request body exceeds {MAX_BODY_BYTES} bytes"
             )
-        raw = self.rfile.read(length)
+        if length < 0:
+            self.close_connection = True
+        else:
+            self._body = self.rfile.read(length)
+        return self._body
+
+    def _read_json(self) -> Any:
+        if self.headers.get("Content-Length") is None:
+            raise BadRequestError("Content-Length header is required")
+        raw = self._read_body()
+        if not raw:
+            raise BadRequestError("request body is empty")
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):

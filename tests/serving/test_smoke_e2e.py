@@ -3,12 +3,15 @@ lifecycle over real HTTP, in a real subprocess.
 
 Trains a tiny pipeline via the CLI, boots ``repro serve`` on an
 ephemeral port, waits for readiness, links the dataset's own queries
-over ``POST /v1/link``, scrapes ``GET /v1/metrics``, and writes a
+over ``POST /v1/link`` on one keep-alive connection (with 404, 410, 400
+and 501 answers interleaved, each of which must leave the stream clean
+for the next request), scrapes ``GET /v1/metrics``, and writes a
 ``BENCH_serving.json`` summary (latency p50/p95, cache hit rate, batch
 stats) into the test's workspace, so a test run never modifies the
 checkout.  Marked slow, like the CLI lifecycle test it extends.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -26,14 +29,14 @@ from repro.cli import main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _post_link(base, queries, timeout=60.0):
-    request = urllib.request.Request(
-        base + "/v1/link",
-        data=json.dumps({"queries": queries}).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
+def _request(conn, method, path, payload=None):
+    """``(status, headers, JSON body)`` of one request on ``conn``."""
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    conn.request(
+        method, path, body=body, headers={"Content-Type": "application/json"}
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.load(response)
+    response = conn.getresponse()
+    return response.status, response, json.loads(response.read())
 
 
 @pytest.mark.slow
@@ -106,19 +109,56 @@ class TestServingSmoke:
             json.loads(line)["text"]
             for line in (data / "queries.jsonl").read_text().splitlines()
         ][:20]
+        host, port = base.split("//", 1)[1].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=60.0)
 
-        linked = 0
-        for start in range(0, len(queries), 4):
-            payload = _post_link(base, queries[start : start + 4])
+        def link(batch):
+            status, _, payload = _request(
+                conn, "POST", "/v1/link", {"queries": batch}
+            )
+            assert status == 200, payload
             results = payload["results"]
-            assert len(results) == min(4, len(queries) - start)
+            assert [result["query"] for result in results] == batch
             for result in results:
                 assert set(result["timing"]) == {"OR", "CR", "ED", "RT"}
-            linked += len(results)
-        assert linked == len(queries)
+            return [[c["cid"] for c in result["ranked"]] for result in results]
 
-        with urllib.request.urlopen(base + "/v1/metrics", timeout=30.0) as response:
-            metrics = json.load(response)
+        # Error answers interleaved with the links on one keep-alive
+        # connection: each must leave the stream clean for the next.
+        interleaved = [
+            ("POST", "/v1/nope", {"query": "x"}, 404, "not_found"),
+            ("POST", "/link", {"query": "x"}, 410, "gone"),
+            ("GET", "/v1/traces?limit=x", None, 400, "bad_request"),
+        ]
+        rankings = []
+        try:
+            conn.connect()
+            sock = conn.sock
+            for start in range(0, len(queries), 4):
+                rankings.append(link(queries[start : start + 4]))
+                if interleaved:
+                    method, path, payload, status, code = interleaved.pop(0)
+                    got, _, answer = _request(conn, method, path, payload)
+                    assert (got, answer["error"]["code"]) == (status, code)
+                assert conn.sock is sock, "the server dropped the connection"
+            linked = sum(len(batch) for batch in rankings)
+            assert linked == len(queries)
+
+            # An unsupported method answers in the JSON envelope and
+            # closes the connection, as a protocol error should; the
+            # client reconnects and the next answers are unchanged.
+            status, response, answer = _request(
+                conn, "PUT", "/v1/link", {"query": "x"}
+            )
+            assert status == 501
+            assert answer["error"]["code"] == "unsupported_method"
+            assert response.getheader("Connection") == "close"
+            assert link(queries[:4]) == rankings[0]
+
+            status, _, metrics = _request(conn, "GET", "/v1/metrics")
+            assert status == 200
+        finally:
+            conn.close()
         assert metrics["ready"] is True
         assert metrics["counters"]["requests_total"] >= linked
         request_histogram = metrics["histograms"]["request_seconds"]

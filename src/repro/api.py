@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 #: surface grows compatibly, the major when anything is removed or
 #: changes shape.  ``tools/check_api.py`` pins the exported surface to
 #: this value.
-API_VERSION = "1.7"
+API_VERSION = "1.8"
 
 #: Lazily resolved re-exports: public name → (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {

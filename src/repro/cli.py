@@ -22,7 +22,7 @@ Ten commands cover the deployment lifecycle:
 * ``evaluate`` — load a saved pipeline and score it against a
   generated dataset's ground-truth queries;
 * ``serve`` — load a saved pipeline and run the long-lived HTTP
-  linking service (micro-batching, bounded caches, metrics, traces);
+  linking service (request fusion, bounded caches, metrics, traces);
 * ``runs`` — list training-run telemetry directories, or diff two
   runs epoch by epoch;
 * ``verify-pipeline`` — check a saved pipeline's (and/or a compiled
@@ -94,7 +94,6 @@ _SERVING_FLAG_DEFAULTS = {
     "host": "127.0.0.1",
     "port": 8080,
     "max_batch_size": 8,
-    "batch_wait_ms": 2.0,
     "request_timeout": 30.0,
     "trace_sample": 1.0,
     "trace_buffer": 64,
@@ -946,12 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch-size", type=int,
         default=_SERVING_FLAG_DEFAULTS["max_batch_size"],
-        help="micro-batcher flush threshold",
-    )
-    serve.add_argument(
-        "--batch-wait-ms", type=float,
-        default=_SERVING_FLAG_DEFAULTS["batch_wait_ms"],
-        help="micro-batcher deadline in milliseconds (0 = no coalescing)",
+        help="most queries fused into one link_batch",
     )
     serve.add_argument(
         "--request-timeout", type=float,
@@ -980,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int,
         default=_SERVING_FLAG_DEFAULTS["workers"],
-        help="forked worker processes (0 = in-process threaded tier; "
+        help="forked worker processes (0 = run link_batch in-process; "
         ">= 1 enables the GIL-free multi-process tier)",
     )
     serve.add_argument(

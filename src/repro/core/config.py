@@ -340,12 +340,10 @@ class ServingConfig:
         HTTP bind address; port 0 asks the OS for an ephemeral port
         (the chosen port is printed at startup).
     max_batch_size:
-        Micro-batcher flush threshold: a batch dispatches as soon as
-        this many requests are pending.
-    batch_wait_ms:
-        Micro-batcher deadline: an open batch dispatches at most this
-        many milliseconds after its first request arrived, full or not.
-        0 disables coalescing (every request is its own batch).
+        Fusion cap: when the executor frees up, the dispatcher fuses
+        queued requests into one ``link_batch`` of at most this many
+        queries (a larger burst runs alone).  Nothing waits for a
+        batch to fill.
     request_timeout_s:
         End-to-end budget for one ``POST /link`` request; exceeding it
         returns HTTP 504.
@@ -369,21 +367,21 @@ class ServingConfig:
         Ring-buffer capacity for finished traces; the oldest trace is
         evicted when a new one lands in a full buffer.
     workers:
-        Worker *processes* for the multi-process serving tier.  0 (the
-        default) keeps the single-process threaded service; N >= 1
-        forks N workers that each mmap the compiled artifact (zero
-        copy) and serve Phase I/II outside the parent's GIL, behind the
-        async front-end's admission queue.  Requires
-        ``LinkerConfig.artifact_dir``.
+        The executor behind the dispatcher.  0 (the default) runs
+        ``link_batch`` in-process on the dispatcher thread; N >= 1
+        forks N worker *processes* that each mmap the compiled artifact
+        (zero copy) and serve Phase I/II outside the parent's GIL.
+        Requires ``LinkerConfig.artifact_dir``.  Admission, shedding
+        and fusion are the same either way.
     admission_queue:
-        Bound on requests waiting in the front-end's admission queue.
+        Bound on requests waiting in the dispatcher's admission queue.
         Arrivals beyond the bound are **shed** (HTTP 503, error code
         ``shed``) per ``shed_policy`` instead of queuing unboundedly.
         0 disables admission control (unbounded queue — the
         pre-front-end behaviour).
     deadline_ms:
-        Per-request queueing deadline: a request still waiting for a
-        worker this many milliseconds after admission is shed rather
+        Per-request queueing deadline: a request still waiting for the
+        executor this many milliseconds after admission is shed rather
         than dispatched (its caller has likely timed out already —
         serving it would be pure goodput loss).  0 disables deadline
         shedding.
@@ -407,7 +405,6 @@ class ServingConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     max_batch_size: int = 8
-    batch_wait_ms: float = 2.0
     request_timeout_s: float = 30.0
     warm_on_start: bool = True
     warm_retries: int = 2
@@ -437,10 +434,6 @@ class ServingConfig:
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.batch_wait_ms < 0:
-            raise ConfigurationError(
-                f"batch_wait_ms must be >= 0, got {self.batch_wait_ms}"
             )
         if self.request_timeout_s <= 0:
             raise ConfigurationError(

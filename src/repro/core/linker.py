@@ -405,7 +405,7 @@ class NeuralConceptLinker:
         (possibly ``None``) entry per query.
 
         ``trace_contexts`` carries one (possibly ``None``) span per
-        query: this method typically runs on the micro-batcher's worker
+        query: this method typically runs on the serving dispatcher's
         thread, where the submitting request's trace context is not
         ambient, so the serving layer captures each request's span at
         submit time and the per-query work here re-enters it — nesting

@@ -96,7 +96,7 @@ def feed_traffic(
     queries: Sequence[str],
     chunk: int = 8,
 ) -> List[Any]:
-    """Run ``queries`` through the service in micro-batch-sized bursts."""
+    """Run ``queries`` through the service in max-batch-sized bursts."""
     results: List[Any] = []
     for start in range(0, len(queries), chunk):
         results.extend(service.link_many(list(queries[start:start + chunk])))

@@ -12,7 +12,7 @@ Mirroring is strictly best-effort and can never hurt the live path:
 ``submit`` never blocks (a full queue increments a drop counter), the
 worker catches every ``Exception`` (an injected fault or a crashing
 candidate books a shadow error, it does not unwind serving), and the
-whole scorer lives off-thread from the batcher worker.
+whole scorer lives off-thread from the service's dispatcher.
 
 Each shadow execution opens a ``lifecycle.shadow`` root trace (when a
 tracer is supplied), so the candidate's CR/ED spans land in

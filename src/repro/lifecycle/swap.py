@@ -4,8 +4,8 @@
 retrained model plus its freshly compiled artifact are *staged* (loaded,
 fingerprint-verified, warmed, shadow-scored on mirrored traffic), then
 *promoted* — but only if the shadow report clears every quality gate —
-via an atomic engine-pointer flip performed while the service's batcher
-worker is excluded from the model.  Anything that goes wrong at any
+via an atomic engine-pointer flip performed while the service's
+in-process executor is excluded from the model.  Anything that goes wrong at any
 point (a gate failure, an injected fault, a crash mid-publish) triggers
 an automatic :meth:`rollback` that restores the previous engine pointer
 first and books a reason code surfaced through ``/v1/metrics``.
@@ -17,9 +17,9 @@ mid-publish leaves the active directory byte-identical to the pre-swap
 deployment and the in-memory pointer still on the old engine.
 
 In-flight requests are never harmed: the flip happens under the
-service's exclusive model lock, which the batcher worker also holds
-around every ``link_batch`` call — a batch either completes entirely on
-the old engine or starts entirely on the new one.  The linker's
+service's exclusive model lock, which the dispatcher thread also holds
+around every fused ``link_batch`` call — a batch either completes
+entirely on the old engine or starts entirely on the new one.  The linker's
 ``swap_engine`` replaces (not clears) its encoding caches, so a stale
 encoding computed against the old weights can never be served under the
 new fingerprint.
@@ -124,7 +124,7 @@ class ArtifactSwapper:
                 )
             self._state = "staging"
         # The heavy lifting (artifact load + verify, engine build, cache
-        # warm) runs outside self._lock so the batcher worker's mirror()
+        # warm) runs outside self._lock so the dispatcher thread's mirror()
         # calls — made while it holds the service's model lock — never
         # stall live traffic behind a staging candidate.
         try:
@@ -236,8 +236,8 @@ class ArtifactSwapper:
             previous_fingerprint = self.service.linker.model_fingerprint
             if self.active_dir is not None:
                 self._publish(self._candidate_dir, self.active_dir)
-            # The flip: exclusive() holds the same lock the batcher
-            # worker takes around link_batch, so no batch straddles it.
+            # The flip: exclusive() holds the same lock the dispatcher
+            # thread takes around link_batch, so no batch straddles it.
             with self.service.exclusive():
                 previous = self.service.linker.swap_engine(
                     self._candidate_model,
@@ -325,7 +325,7 @@ class ArtifactSwapper:
         if not had_candidate:
             # Post-promote rollback: re-install the retained previous
             # (model, engine) generation.  exclusive() is taken while
-            # NOT holding self._lock — the batcher worker acquires the
+            # NOT holding self._lock — the dispatcher thread acquires the
             # model lock first and then (via mirror) this swapper's
             # lock, so nesting them the other way would deadlock.
             previous_model, previous_engine = previous

@@ -95,7 +95,7 @@ def render_prometheus(
 def snapshot_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
     """Extract gauge-worthy scalars from a service snapshot dict.
 
-    Pulls readiness/uptime plus per-cache and batcher numbers out of
+    Pulls readiness/uptime plus per-cache and dispatcher numbers out of
     the JSON ``/metrics`` payload shape, so the Prometheus view covers
     the same surface without new bookkeeping.
     """
@@ -110,9 +110,6 @@ def snapshot_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
         for key in ("size", "hits", "misses", "evictions"):
             if key in stats:
                 gauges[f"cache.{cache_name}.{key}"] = float(stats[key])
-    for key, value in (snapshot.get("batcher") or {}).items():
-        if isinstance(value, (int, float)):
-            gauges[f"batcher.{key}"] = float(value)
     for key, value in (snapshot.get("traces") or {}).items():
         if isinstance(value, (int, float)):
             gauges[f"traces.{key}"] = float(value)
@@ -129,7 +126,7 @@ def snapshot_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
     slo = snapshot.get("slo")
     if isinstance(slo, Mapping):
         _flatten_numeric(slo, "slo", gauges)
-    # Multi-process front-end: queue depth, shed/death/redispatch
+    # The dispatcher (both tiers): queue depth, shed/death/redispatch
     # counters, and sticky-readiness flags.  Per-worker numbers render
     # as labeled series instead (:func:`worker_series`).
     frontend = snapshot.get("frontend")

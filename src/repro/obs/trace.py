@@ -15,10 +15,11 @@ Design constraints, in order:
    no-op singleton after one ``ContextVar`` read.  That is what keeps
    the traced-off serving path within 1% of untraced (``BENCH_obs.json``).
 2. **Explicit cross-thread propagation.**  ``ContextVar`` state does
-   not follow work handed to another thread, so the micro-batcher
-   carries each request's span with the request and the worker re-enters
-   it via :func:`attach` — span trees stay correct even though Phase II
-   runs on a different thread than the HTTP handler.
+   not follow work handed to another thread, so the serving
+   dispatcher carries each request's span with the request and the
+   linker re-enters it via :func:`attach` — span trees stay correct
+   even though Phase II runs on the dispatcher thread, not the HTTP
+   handler's.
 3. **Bounded retention.**  Finished traces land in a ring buffer
    (``deque(maxlen=capacity)``); a trace is also capped in span and
    event count so one pathological request cannot hold the process

@@ -9,9 +9,12 @@ into a service fit for sustained traffic:
 * :mod:`repro.serving.metrics` — in-process counters and streaming
   latency histograms (p50/p95/p99) aggregating the per-query
   OR/CR/ED/RT :class:`~repro.utils.timing.TimingBreakdown`;
-* :mod:`repro.serving.batcher` — micro-batching scheduler that
-  coalesces in-flight queries so Phase-II scoring amortises concept
-  encodings across concurrent requests;
+* :mod:`repro.serving.frontend` — the one dispatcher: bounded
+  admission with shedding, and fusion of whatever is queued when the
+  executor frees up into one ``link_batch``, so Phase-II scoring
+  amortises across concurrent requests;
+* :mod:`repro.serving.procpool` — forked worker processes, the
+  executor for ``workers >= 1`` (``workers=0`` runs in-process);
 * :mod:`repro.serving.service` — the orchestrator (warm start,
   readiness, request accounting);
 * :mod:`repro.serving.server` — a stdlib-only threaded HTTP JSON API

@@ -1,7 +1,14 @@
-"""Async front-end for the multi-process tier: admit, fuse, dispatch.
+"""The serving dispatcher: admit, fuse, and execute link requests.
 
 One event-driven dispatcher thread sits between the HTTP threads and
-the forked workers (:mod:`repro.serving.procpool`):
+the executor that runs ``link_batch``.  Both serving tiers use it:
+
+* ``workers=0`` — the **in-process executor**: the dispatcher calls the
+  service's batch function inline, under the service's model lock;
+* ``workers>=1`` — a :class:`~repro.serving.procpool.ProcessPool` of
+  forked workers, one job in flight per worker pipe.
+
+What the dispatcher does is the same for both:
 
 * **Admission control** — arrivals enter a bounded
   :class:`AdmissionQueue`; beyond the bound they are *shed* with a
@@ -10,32 +17,37 @@ the forked workers (:mod:`repro.serving.procpool`):
   ``drop_oldest`` sheds the queue head; a per-request queueing deadline
   sheds requests that waited longer than any caller plausibly still
   cares about.
-* **Cross-request fusion** — when a worker frees up, the dispatcher
-  packs *several* queued requests into one worker job; the worker's
-  linker runs them as one ``link_batch``, which turns every in-flight
-  candidate across all fused requests into a single lock-step
-  ``score_batch`` GEMM per decode step.
-* **Fault containment** — a worker that dies mid-job (OOM-kill,
-  SIGKILL) is detected by its pipe going EOF; the dispatcher respawns
-  it and re-dispatches the in-flight job once.  A job that kills two
-  workers is failed back to its caller with an error envelope.  No
-  request ever hangs or silently drops.
+* **Cross-request fusion** — when the executor frees up, the
+  dispatcher packs *several* queued requests into one job (up to
+  ``max_batch_size`` queries; a larger burst goes alone), which the
+  linker runs as one ``link_batch``: every in-flight candidate across
+  all fused requests shares a single lock-step ``score_batch`` GEMM
+  per decode step.  Nothing waits for a batch to fill.
+* **Fault containment** (worker tier) — a worker that dies mid-job
+  (OOM-kill, SIGKILL) is detected by its pipe going EOF; the
+  dispatcher respawns it and re-dispatches the in-flight job once.  A
+  job that kills two workers is failed back to its caller with an
+  error envelope.  In-process, an exception from the batch function
+  rejects only the requests fused into that call.  No request ever
+  hangs or silently drops.
 
 The dispatcher blocks in :func:`multiprocessing.connection.wait` over
-the worker pipes plus a socketpair wakeup channel, so it consumes zero
-CPU while idle and reacts to both worker completions and new arrivals
-without polling.
+the worker pipes (none in-process) plus a socketpair wakeup channel,
+so it consumes zero CPU while idle and reacts to both worker
+completions and new arrivals without polling.
 
 Observability: ``submit`` optionally carries one parent span per query.
-The front-end hangs ``frontend.queue`` / ``frontend.fuse`` /
-``frontend.dispatch`` child spans under each, ships the request IDs to
-the worker, and grafts the worker's serialized ``worker.link`` subtree
-back under the dispatch span — one stitched trace per request, spanning
-processes.  Shed requests get a ``frontend.shed`` point event before
-their future is rejected, so overload is visible in traces, not just
-counters.  When a :class:`~repro.serving.metrics.MetricsRegistry` is
-attached, the same events feed shed counters by reason, queue-wait and
-fused-batch-size histograms, and per-worker decode stats.
+The front-end hangs ``frontend.queue`` / ``frontend.fuse`` child spans
+under each.  In-process, the parent span itself is the linker's trace
+context, so linker spans nest directly beneath it.  On the worker tier
+a ``frontend.dispatch`` span follows; the request IDs travel to the
+worker, and the worker's serialized ``worker.link`` subtree is grafted
+back under the dispatch span — one stitched trace per request,
+spanning processes.  Shed requests get a ``frontend.shed`` point event
+before their future is rejected, so overload is visible in traces, not
+just counters.  When a :class:`~repro.serving.metrics.MetricsRegistry`
+is attached, the same events feed shed counters by reason, queue-wait
+and fused-batch-size histograms, and per-worker decode stats.
 """
 
 from __future__ import annotations
@@ -45,17 +57,33 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Generic,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from multiprocessing import connection as mp_connection
 
 from repro.obs import trace
-from repro.serving.batcher import BatchFuture
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.procpool import ProcessPool, WorkerHandle
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("serving.frontend")
+
+R = TypeVar("R")
+
+#: The in-process executor: ``run_batch(queries, ks, trace_contexts)``
+#: returns one result per query, in order.
+RunBatch = Callable[[List[str], List[Optional[int]], List[Any]], Sequence[Any]]
 
 #: How many times a job is re-dispatched after killing a worker before
 #: it is failed back to the caller (1 = one respawn-and-retry).
@@ -91,8 +119,37 @@ class ShedError(RuntimeError):
         self.reason = reason
 
 
+class BatchFuture(Generic[R]):
+    """A minimal future resolved by the dispatcher thread."""
+
+    def __init__(self) -> None:
+        self._done = threading.Event()
+        self._result: Optional[R] = None
+        self._error: Optional[BaseException] = None
+
+    def _resolve(self, result: R) -> None:
+        self._result = result
+        self._done.set()
+
+    def _reject(self, error: BaseException) -> None:
+        self._error = error
+        self._done.set()
+
+    def done(self) -> bool:
+        """Whether a result or error has been delivered."""
+        return self._done.is_set()
+
+    def result(self, timeout: Optional[float] = None) -> R:
+        """Block for the result; raises ``TimeoutError`` if not ready."""
+        if not self._done.wait(timeout):
+            raise TimeoutError("batched request did not complete in time")
+        if self._error is not None:
+            raise self._error
+        return self._result  # type: ignore[return-value]
+
+
 class FrontendJob:
-    """One ``link_many`` burst waiting for (or on) a worker."""
+    """One ``link_many`` burst waiting for (or on) the executor."""
 
     __slots__ = (
         "queries",
@@ -118,18 +175,14 @@ class FrontendJob:
         self.admitted_at = admitted_at
         self.dispatches = 0
         #: One optional parent span per query, handed over by the
-        #: submitting thread; queue/fuse/dispatch children hang under
-        #: it, and the worker's subtree is grafted back beneath them.
+        #: submitting thread; queue/fuse(/dispatch) children hang under
+        #: it, and in-process it is the linker's trace context.
         normalized: List[Any] = list(spans) if spans is not None else []
         while len(normalized) < len(queries):
             normalized.append(None)
         self.spans = normalized[: len(queries)]
         self.queue_spans: List[Any] = [None] * len(queries)
         self.dispatch_spans: List[Any] = [None] * len(queries)
-
-    def traced(self) -> bool:
-        """True when any query carries a recording parent span."""
-        return any(s is not None and s.is_recording for s in self.spans)
 
     def open_queue_spans(self, redispatch: bool = False) -> None:
         """A ``frontend.queue`` child per traced query (wait visible)."""
@@ -211,6 +264,15 @@ class AdmissionQueue:
             self._items.append(job)
             return []
 
+    def remove(self, job: FrontendJob) -> bool:
+        """Withdraw ``job`` if it is still queued; False once taken."""
+        with self._lock:
+            try:
+                self._items.remove(job)
+            except ValueError:
+                return False
+            return True
+
     def requeue_front(self, job: FrontendJob) -> None:
         """Put a job back at the head (crash re-dispatch keeps FIFO)."""
         with self._lock:
@@ -248,18 +310,27 @@ class AdmissionQueue:
 
 
 class AsyncFrontend:
-    """The dispatcher: one thread multiplexing all worker pipes."""
+    """The dispatcher: one thread feeding one executor.
+
+    Give exactly one executor: ``pool`` (forked workers, one job in
+    flight per worker pipe) or ``run_batch`` (called inline on the
+    dispatcher thread — the in-process executor).
+    """
 
     def __init__(
         self,
-        pool: ProcessPool,
+        pool: Optional[ProcessPool] = None,
         admission_bound: int = 256,
         deadline_ms: float = 0.0,
         shed_policy: str = "reject_new",
         max_batch_size: int = 8,
         metrics: Optional[MetricsRegistry] = None,
+        run_batch: Optional[RunBatch] = None,
     ) -> None:
+        if (pool is None) == (run_batch is None):
+            raise ValueError("give exactly one of pool or run_batch")
         self.pool = pool
+        self._run_batch = run_batch
         self.metrics = metrics
         self.queue = AdmissionQueue(
             admission_bound, policy=shed_policy, deadline_s=deadline_ms / 1000.0
@@ -270,6 +341,8 @@ class AsyncFrontend:
         self._inflight: Dict[int, Tuple[List[FrontendJob], List[int]]] = {}
         self._stopped = threading.Event()
         self.all_ready = threading.Event()
+        if pool is None:
+            self.all_ready.set()  # the in-process executor is ready now
         self.init_error: Optional[str] = None
         self.counters: Dict[str, int] = {
             "shed_queue_full": 0,
@@ -284,8 +357,11 @@ class AsyncFrontend:
         # Wakeup channel: submit() writes one byte, the dispatch loop's
         # connection.wait() returns, new work is considered.  A plain
         # socketpair keeps the loop select()-driven with no polling.
+        # Both ends are non-blocking: a full buffer already holds a
+        # pending wakeup, so a dropped byte loses nothing.
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
         self._thread = threading.Thread(
             target=self._run, name="link-frontend", daemon=True
         )
@@ -301,9 +377,9 @@ class AsyncFrontend:
     ) -> "BatchFuture[List[Any]]":
         """Admit one burst; returns the future for its result list.
 
-        ``spans`` optionally carries one parent span per query; queue,
-        fusion, and dispatch children hang under them and the worker's
-        span subtree is stitched back beneath the dispatch span.
+        ``spans`` optionally carries one parent span per query; queue
+        and fusion children hang under them (see the module docstring
+        for how the executor's spans join the tree).
         """
         if self._stopped.is_set():
             raise ShedError("shutdown", "front-end is stopped")
@@ -328,6 +404,12 @@ class AsyncFrontend:
                     "newer arrival",
                 )
             )
+        # A stop() that completed between the check above and the offer
+        # left no dispatcher to drain this job: withdraw it.  If the
+        # dispatcher already took it, it resolves the future itself.
+        if self._stopped.is_set() and self.queue.remove(job):
+            job.shed("shutdown")
+            raise ShedError("shutdown", "front-end is stopped")
         self._wake()
         return job.future
 
@@ -356,7 +438,11 @@ class AsyncFrontend:
 
     def _run(self) -> None:
         while not self._stopped.is_set():
-            conns = [h.conn for h in self.pool.workers if h.alive or h.ready]
+            conns = (
+                [h.conn for h in self.pool.workers if h.alive or h.ready]
+                if self.pool is not None
+                else []
+            )
             try:
                 readable = mp_connection.wait(
                     conns + [self._wake_recv], timeout=0.25
@@ -368,6 +454,9 @@ class AsyncFrontend:
                     self._drain_wakeups()
                     continue
                 self._on_worker_readable(source)
+            self._dispatch_ready()
+        if self.pool is None:
+            # In-process work drains on stop: what was admitted runs.
             self._dispatch_ready()
         self._shutdown_reject()
 
@@ -478,71 +567,87 @@ class AsyncFrontend:
                     )
                 )
 
+    def _take_fused(self) -> Tuple[List[FrontendJob], int]:
+        """Pop the next fused job: queued bursts up to the size cap.
+
+        Deadline-expired bursts met on the way are shed.  Each taken
+        burst's queue wait ends here (histogram, span) and a
+        ``frontend.fuse`` span records what it was fused with.
+        """
+        fused: List[FrontendJob] = []
+        queries = 0
+        while True:
+            job, expired = self.queue.take()
+            for stale in expired:
+                self._count("shed_deadline")
+                stale.shed("deadline")
+                stale.future._reject(
+                    ShedError(
+                        "deadline",
+                        "request waited past the queueing deadline "
+                        "and was shed undispatched",
+                    )
+                )
+            if job is None:
+                break
+            if fused and queries + len(job.queries) > self._max_batch_size:
+                self.queue.requeue_front(job)
+                break
+            fused.append(job)
+            queries += len(job.queries)
+            if queries >= self._max_batch_size:
+                break
+        now = time.monotonic()
+        for job in fused:
+            job.dispatches += 1
+            self._observe("frontend.queue_wait_seconds", now - job.admitted_at)
+            job.close_queue_spans()
+            for parent in job.spans:
+                if parent is not None and parent.is_recording:
+                    parent.child(
+                        "frontend.fuse",
+                        fused_jobs=len(fused),
+                        fused_queries=queries,
+                    ).end()
+        if fused:
+            self._observe(
+                "frontend.fused_batch_size",
+                float(queries),
+                bounds=FUSED_BATCH_BOUNDS,
+            )
+        return fused, queries
+
     def _dispatch_ready(self) -> None:
+        if self.pool is None:
+            while self._run_inline():
+                pass
+            return
         for handle in self.pool.workers:
             if not handle.ready or handle.inflight is not None:
                 continue
             if not handle.alive:
                 self._on_worker_death(handle)
                 continue
-            fused: List[FrontendJob] = []
-            queries = 0
-            while True:
-                job, expired = self.queue.take()
-                for stale in expired:
-                    self._count("shed_deadline")
-                    stale.shed("deadline")
-                    stale.future._reject(
-                        ShedError(
-                            "deadline",
-                            "request waited past the queueing deadline "
-                            "and was shed undispatched",
-                        )
-                    )
-                if job is None:
-                    break
-                if fused and queries + len(job.queries) > self._max_batch_size:
-                    self.queue.requeue_front(job)
-                    break
-                fused.append(job)
-                queries += len(job.queries)
-                if queries >= self._max_batch_size:
-                    break
+            fused, queries = self._take_fused()
             if not fused:
                 return  # queue drained; later workers have nothing either
             job_id = next(self._job_ids)
-            now = time.monotonic()
             flat_queries = [q for job in fused for q in job.queries]
             flat_ks = [k for job in fused for k in job.ks]
             trace_ids: List[Optional[str]] = []
             traced = False
             for job in fused:
-                job.dispatches += 1
-                self._observe(
-                    "frontend.queue_wait_seconds", now - job.admitted_at
-                )
-                job.close_queue_spans()
                 for index, parent in enumerate(job.spans):
                     if parent is None or not parent.is_recording:
                         trace_ids.append(None)
                         continue
                     traced = True
                     trace_ids.append(parent.request_id)
-                    parent.child(
-                        "frontend.fuse",
-                        fused_jobs=len(fused),
-                        fused_queries=queries,
-                    ).end()
                     job.dispatch_spans[index] = parent.child(
                         "frontend.dispatch",
                         worker=handle.worker_id,
                         job=job_id,
                     )
-            self._observe(
-                "frontend.fused_batch_size",
-                float(queries),
-                bounds=FUSED_BATCH_BOUNDS,
-            )
             self._inflight[job_id] = (fused, [len(j.queries) for j in fused])
             handle.inflight = job_id
             try:
@@ -555,6 +660,44 @@ class AsyncFrontend:
                 continue
             handle.jobs += 1
             handle.queries += queries
+
+    def _run_inline(self) -> bool:
+        """Run one fused job on this thread; False when the queue is empty.
+
+        Each query's parent span is its trace context, so the linker's
+        spans nest directly under it.  An exception rejects only the
+        bursts fused into this call.
+        """
+        fused, queries = self._take_fused()
+        if not fused:
+            return False
+        contexts = [
+            span if span is not None and span.is_recording else None
+            for job in fused
+            for span in job.spans
+        ]
+        try:
+            results = self._run_batch(
+                [q for job in fused for q in job.queries],
+                [k for job in fused for k in job.ks],
+                contexts,
+            )
+            if len(results) != queries:
+                raise RuntimeError(
+                    f"batch function returned {len(results)} results "
+                    f"for {queries} queries"
+                )
+        except Exception as error:  # noqa: BLE001 - forwarded to callers
+            self._count("jobs_failed")
+            for job in fused:
+                job.future._reject(error)
+            return True
+        self._count("jobs_ok")
+        offset = 0
+        for job in fused:
+            job.future._resolve(list(results[offset : offset + len(job.queries)]))
+            offset += len(job.queries)
+        return True
 
     def _shutdown_reject(self) -> None:
         error = ShedError("shutdown", "front-end is stopped")
@@ -572,26 +715,30 @@ class AsyncFrontend:
 
     @property
     def ready(self) -> bool:
-        """Ready once every worker has handshaken, and *stays* ready
-        through worker deaths: a respawning slot only shrinks capacity
-        (survivors drain the queue), so flapping to not-ready would
-        turn a contained crash into rejected requests.  Only an init
-        error or a stop poisons readiness."""
+        """Ready once every worker has handshaken (at once in-process),
+        and *stays* ready through worker deaths: a respawning slot only
+        shrinks capacity (survivors drain the queue), so flapping to
+        not-ready would turn a contained crash into rejected requests.
+        Only an init error or a stop poisons readiness."""
         return (
             self.init_error is None
-            and bool(self.pool.workers)
             and self.all_ready.is_set()
             and not self._stopped.is_set()
         )
 
     def stop(self) -> None:
-        """Shed the queue, stop the dispatcher, and tear down the pool."""
+        """Stop the dispatcher and tear down the pool.
+
+        In-process, queued work runs before the dispatcher exits; on
+        the worker tier the queue is shed (``ShedError("shutdown")``).
+        """
         if self._stopped.is_set():
             return
         self._stopped.set()
         self._wake()
         self._thread.join(timeout=10.0)
-        self.pool.stop()
+        if self.pool is not None:
+            self.pool.stop()
         try:
             self._wake_send.close()
             self._wake_recv.close()
@@ -602,7 +749,7 @@ class AsyncFrontend:
         """Queue depth, shed/death counters, and per-worker stats."""
         with self._counters_lock:
             counters = dict(self.counters)
-        return {
+        stats = {
             "queue_depth": len(self.queue),
             "queue_bound": self.queue.bound,
             "shed_policy": self.queue.policy,
@@ -615,8 +762,10 @@ class AsyncFrontend:
             "all_ready": self.all_ready.is_set(),
             "init_failed": self.init_error is not None,
             **counters,
-            "workers": self.pool.stats(),
         }
+        if self.pool is not None:
+            stats["workers"] = self.pool.stats()
+        return stats
 
 
 def build_frontend(

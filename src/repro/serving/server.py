@@ -44,7 +44,7 @@ POST     ``/v1/admin/swap``      Drive the blue/green artifact swapper
 * ``GET /readyz`` (alias ``/v1/readyz``) — readiness; 503 until
   warm-up finishes, then 200.
 * ``GET /v1/metrics`` — the service snapshot (counters, latency
-  histograms with p50/p95/p99, cache, batcher, and concept-engine
+  histograms with p50/p95/p99, cache, dispatcher, and concept-engine
   statistics; plus the per-tenant registry view on multi-tenant
   deployments); ``?format=prometheus`` (or an ``Accept: text/plain``
   header) returns Prometheus text exposition instead, with
@@ -111,8 +111,8 @@ negative or exceeds ``MAX_BODY_BYTES``, or a chunked body.
 
 One OS thread per connection
 (``ThreadingHTTPServer``) is plenty here because the model-bound work
-is serialised by the batcher anyway; threads only overlap on parsing
-and I/O.
+is serialised by the service's one dispatcher anyway; threads only
+overlap on parsing and I/O.
 """
 
 from __future__ import annotations
@@ -480,15 +480,15 @@ class _LinkRequestHandler(BaseHTTPRequestHandler):
         elif path == "/traces":
             self._respond_traces(params)
         elif path == "/admin/workers" and not legacy:
-            snapshot = service.snapshot()
-            frontend = snapshot.get("frontend")
-            if frontend is None:
+            if service.config.workers == 0:
                 self._respond_error(
                     404,
                     "workers_disabled",
                     "this service runs the single-process tier (workers=0)",
                 )
             else:
+                snapshot = service.snapshot()
+                frontend = snapshot.get("frontend", {})
                 self._respond(
                     200,
                     {

@@ -6,7 +6,7 @@ speaks (``ready``/``healthy``/``link_many``/``snapshot``/``stop``/
 ``tracer``/``metrics``), adding the tenant dimension: every request
 resolves to a tenant through the :class:`TenantRegistry` (lazy load,
 LRU evict), pays that tenant's quota, and runs on that tenant's
-service — so caches, metrics, SLO windows, and micro-batches never mix
+service — so caches, metrics, SLO windows, and fused batches never mix
 across tenants.
 
 It also owns cross-ontology mapping: a :class:`ConceptMapper` per
@@ -293,7 +293,6 @@ class MultiTenantLinkingService:
             "multi_tenant": True,
             "config": {
                 "max_batch_size": self.config.max_batch_size,
-                "batch_wait_ms": self.config.batch_wait_ms,
                 "request_timeout_s": self.config.request_timeout_s,
                 "warm_on_start": self.config.warm_on_start,
                 "admission_queue": self.config.admission_queue,

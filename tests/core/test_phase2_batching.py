@@ -700,8 +700,8 @@ class TestBatchProbeSite:
         assert plan.hits("linker.phase2.batch") == 2
 
     def test_service_micro_batch_is_one_decode(self, make_linker):
-        # The threaded tier fuses across requests: N queries coalesced
-        # into one micro-batch share a single decode.
+        # The in-process tier fuses across requests: N queries fused
+        # into one link_batch share a single decode.
         queries = TestLinkerEquivalence.QUERIES[:4]
         linker = make_linker()
         service = LinkingService(
@@ -709,7 +709,6 @@ class TestBatchProbeSite:
             ServingConfig(
                 warm_on_start=False,
                 max_batch_size=len(queries),
-                batch_wait_ms=5000.0,
             ),
         )
         service.start(wait=True)

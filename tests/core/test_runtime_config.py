@@ -89,6 +89,12 @@ class TestRejection:
                 {"linker": {"artifact_dir": "a/", "shards": 2}}
             )
 
+    def test_retired_batch_wait_ms_key_is_rejected_by_name(self):
+        """``batch_wait_ms`` went with the micro-batcher's fill
+        deadline; a config file still carrying it is refused."""
+        with pytest.raises(ConfigurationError, match=r"\['batch_wait_ms'\]"):
+            RuntimeConfig.from_dict({"serving": {"batch_wait_ms": 2.0}})
+
 
 class TestFromFile:
     def test_reads_a_json_file(self, tmp_path):

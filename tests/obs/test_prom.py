@@ -97,7 +97,7 @@ class TestSnapshotGauges:
             "healthy": False,
             "uptime_seconds": 12.5,
             "caches": {"concepts": {"size": 10, "hits": 4, "name": "x"}},
-            "batcher": {"batches": 3, "name": "link"},
+            "frontend": {"jobs_ok": 3, "shed_policy": "reject_new"},
             "traces": {"retained": 2, "sample_rate": 1.0},
         }
         gauges = snapshot_gauges(snapshot)
@@ -106,9 +106,9 @@ class TestSnapshotGauges:
         assert gauges["uptime_seconds"] == 12.5
         assert gauges["cache.concepts.size"] == 10.0
         assert gauges["cache.concepts.hits"] == 4.0
-        assert gauges["batcher.batches"] == 3.0
+        assert gauges["frontend.jobs_ok"] == 3.0
         assert gauges["traces.retained"] == 2.0
-        assert "batcher.name" not in gauges
+        assert "frontend.shed_policy" not in gauges
 
     def test_empty_snapshot(self):
         assert snapshot_gauges({}) == {}

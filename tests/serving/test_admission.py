@@ -121,7 +121,7 @@ class TestShedEnvelopeOverHTTP:
 
         def gated(queries, **kwargs):
             entered.set()
-            assert release.wait(30.0), "test never released the batcher"
+            assert release.wait(30.0), "test never released the dispatcher"
             return original(queries, **kwargs)
 
         linker.link_batch = gated  # type: ignore[method-assign]
@@ -141,8 +141,8 @@ class TestShedEnvelopeOverHTTP:
         base = f"http://127.0.0.1:{server.port}"
         background = []
         try:
-            # Request 1 occupies the batcher worker (blocked in the
-            # handler); request 2 fills the one queue slot.
+            # Request 1 occupies the dispatcher (blocked in
+            # link_batch); request 2 fills the one queue slot.
             for query in ("ckd stage 5", "anemia blood loss"):
                 worker = threading.Thread(
                     target=_post, args=(base, "/v1/link", {"query": query})
@@ -153,11 +153,11 @@ class TestShedEnvelopeOverHTTP:
                     assert entered.wait(10.0)
             deadline = time.monotonic() + 10.0
             while (
-                service._batcher.qsize() < 1
+                len(service._frontend.queue) < 1
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
-            assert service._batcher.qsize() >= 1
+            assert len(service._frontend.queue) >= 1
             # Request 3 finds the queue at its bound: shed, not queued.
             status, payload = _post(
                 base,

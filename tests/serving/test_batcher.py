@@ -1,124 +1,147 @@
-"""Tests for the micro-batching scheduler."""
+"""The dispatcher's in-process executor: fusion, results, errors, stop.
 
+``AsyncFrontend(run_batch=...)`` is what ``workers=0`` runs on: the
+dispatcher thread calls the batch function inline over whatever is
+queued when it frees up, up to ``max_batch_size`` queries.
+"""
+
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.serving.batcher import BatcherClosedError, MicroBatcher
+from repro.core.config import ServingConfig
+from repro.serving.frontend import AdmissionQueue, AsyncFrontend, ShedError
 from repro.utils.errors import ConfigurationError
 
 
-def identity_handler(items):
-    return [item * 2 for item in items]
+def identity_handler(queries, ks, contexts):
+    return [query * 2 for query in queries]
+
+
+def _frontend(handler, **kwargs):
+    return AsyncFrontend(run_batch=handler, **kwargs)
+
+
+def _submit(frontend, value):
+    """One single-query burst; returns its future."""
+    return frontend.submit([value], [None])
+
+
+class _Gate:
+    """A handler wrapper that holds the first call until released, so
+    later submissions queue up behind it and fuse deterministically."""
+
+    def __init__(self, handler):
+        self.handler = handler
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sizes = []
+
+    def __call__(self, queries, ks, contexts):
+        self.sizes.append(len(queries))
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(10.0), "test never released the gate"
+        return self.handler(queries, ks, contexts)
 
 
 class TestConfigValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ConfigurationError):
-            MicroBatcher(identity_handler, max_batch_size=0)
-
-    def test_bad_wait(self):
-        with pytest.raises(ConfigurationError):
-            MicroBatcher(identity_handler, max_wait_ms=-1)
+            ServingConfig(max_batch_size=0)
 
 
 class TestFlushOnSize:
     def test_full_batch_dispatches_without_waiting_for_deadline(self):
-        batches = []
-
-        def handler(items):
-            batches.append(list(items))
-            return list(items)
-
-        batcher = MicroBatcher(handler, max_batch_size=4, max_wait_ms=10_000)
+        gate = _Gate(lambda queries, ks, contexts: list(queries))
+        frontend = _frontend(gate, max_batch_size=4)
         try:
             started = time.monotonic()
-            futures = [batcher.submit_nowait(i) for i in range(4)]
+            blocker = _submit(frontend, -1)
+            assert gate.entered.wait(5.0)
+            futures = [_submit(frontend, i) for i in range(4)]
+            gate.release.set()
+            assert blocker.result(5.0) == [-1]
             results = [future.result(5.0) for future in futures]
             elapsed = time.monotonic() - started
-            assert results == [0, 1, 2, 3]
-            # A 10-second deadline obviously did not elapse.
+            assert results == [[0], [1], [2], [3]]
             assert elapsed < 5.0
-            stats = batcher.stats
-            assert stats.size_flushes >= 1
-            assert stats.items == 4
-            assert stats.max_batch <= 4
+            # The four queued bursts fill the cap exactly: one call.
+            assert gate.sizes == [1, 4]
+            assert frontend.counters["jobs_ok"] == 2
         finally:
-            batcher.close()
+            frontend.stop()
 
     def test_overflow_splits_into_multiple_batches(self):
-        sizes = []
-
-        def handler(items):
-            sizes.append(len(items))
-            return list(items)
-
-        batcher = MicroBatcher(handler, max_batch_size=3, max_wait_ms=20)
+        gate = _Gate(lambda queries, ks, contexts: list(queries))
+        frontend = _frontend(gate, max_batch_size=3)
         try:
-            futures = [batcher.submit_nowait(i) for i in range(10)]
-            assert [f.result(5.0) for f in futures] == list(range(10))
-            assert sum(sizes) == 10
-            assert max(sizes) <= 3
+            blocker = _submit(frontend, -1)
+            assert gate.entered.wait(5.0)
+            futures = [_submit(frontend, i) for i in range(10)]
+            gate.release.set()
+            blocker.result(5.0)
+            assert [f.result(5.0) for f in futures] == [[i] for i in range(10)]
+            assert sum(gate.sizes[1:]) == 10
+            assert max(gate.sizes) <= 3
         finally:
-            batcher.close()
+            frontend.stop()
 
 
 class TestFlushOnDeadline:
-    def test_partial_batch_dispatches_at_deadline(self):
-        batcher = MicroBatcher(
-            identity_handler, max_batch_size=64, max_wait_ms=30
-        )
-        try:
-            started = time.monotonic()
-            result = batcher.submit(21, timeout=5.0)
-            elapsed = time.monotonic() - started
-            assert result == 42
-            # Far below the only other flush trigger (64 items never came),
-            # and at least roughly the deadline in the happy case.
-            assert elapsed < 5.0
-            stats = batcher.stats
-            assert stats.deadline_flushes == 1
-            assert stats.size_flushes == 0
-            assert stats.max_batch == 1
-        finally:
-            batcher.close()
-
     def test_zero_wait_means_immediate_singleton_batches(self):
-        batcher = MicroBatcher(identity_handler, max_batch_size=8, max_wait_ms=0)
+        # Nothing waits for a batch to fill: a lone burst runs at once.
+        sizes = []
+
+        def handler(queries, ks, contexts):
+            sizes.append(len(queries))
+            return identity_handler(queries, ks, contexts)
+
+        frontend = _frontend(handler, max_batch_size=8)
         try:
-            assert batcher.submit(5, timeout=5.0) == 10
+            assert _submit(frontend, 5).result(5.0) == [10]
+            assert sizes == [1]
         finally:
-            batcher.close()
+            frontend.stop()
 
 
 class TestOrderingAndResults:
     def test_results_match_submission_order_within_batch(self):
-        batcher = MicroBatcher(
-            lambda items: [item + 100 for item in items],
-            max_batch_size=8,
-            max_wait_ms=50,
-        )
+        gate = _Gate(lambda queries, ks, contexts: [q + 100 for q in queries])
+        frontend = _frontend(gate, max_batch_size=8)
         try:
-            futures = [batcher.submit_nowait(i) for i in range(8)]
-            assert [f.result(5.0) for f in futures] == [100 + i for i in range(8)]
+            blocker = frontend.submit([-1, -2], [None, None])
+            assert gate.entered.wait(5.0)
+            futures = [
+                frontend.submit([i, i + 10], [None, None])
+                for i in range(4)
+            ]
+            gate.release.set()
+            assert blocker.result(5.0) == [99, 98]
+            assert [f.result(5.0) for f in futures] == [
+                [100 + i, 110 + i] for i in range(4)
+            ]
+            assert gate.sizes == [2, 8]
         finally:
-            batcher.close()
+            frontend.stop()
 
     def test_concurrent_submitters_all_get_their_own_result(self):
-        batcher = MicroBatcher(
-            lambda items: [item * item for item in items],
+        frontend = _frontend(
+            lambda queries, ks, contexts: [q * q for q in queries],
             max_batch_size=4,
-            max_wait_ms=5,
         )
         results = {}
         lock = threading.Lock()
 
         def submit(value):
-            result = batcher.submit(value, timeout=10.0)
+            (result,) = _submit(frontend, value).result(10.0)
             with lock:
                 results[value] = result
 
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave submitters aggressively
         try:
             threads = [
                 threading.Thread(target=submit, args=(value,))
@@ -127,85 +150,107 @@ class TestOrderingAndResults:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in threads)
             assert results == {value: value * value for value in range(32)}
-            assert batcher.stats.items == 32
+            assert frontend.counters["jobs_failed"] == 0
         finally:
-            batcher.close()
+            sys.setswitchinterval(interval)
+            frontend.stop()
 
 
 class TestErrors:
     def test_handler_exception_rejects_the_batch_only(self):
-        fail = threading.Event()
-        fail.set()
-
-        def handler(items):
-            if fail.is_set():
+        def failing(queries, ks, contexts):
+            if "boom" in queries:
                 raise RuntimeError("model exploded")
-            return list(items)
+            return list(queries)
 
-        batcher = MicroBatcher(handler, max_batch_size=4, max_wait_ms=5)
+        gate = _Gate(failing)
+        frontend = _frontend(gate, max_batch_size=2)
         try:
-            with pytest.raises(RuntimeError, match="model exploded"):
-                batcher.submit(1, timeout=5.0)
-            assert batcher.stats.errors == 1
-            fail.clear()
-            assert batcher.submit(2, timeout=5.0) == 2
+            blocker = _submit(frontend, "a")
+            assert gate.entered.wait(5.0)
+            poisoned = [_submit(frontend, "boom"), _submit(frontend, "b")]
+            healthy = [_submit(frontend, "c"), _submit(frontend, "d")]
+            gate.release.set()
+            assert blocker.result(5.0) == ["a"]
+            # "b" was fused with the failing query and shares its fate;
+            # the next fused call is untouched.
+            for future in poisoned:
+                with pytest.raises(RuntimeError, match="model exploded"):
+                    future.result(5.0)
+            assert [f.result(5.0) for f in healthy] == [["c"], ["d"]]
+            assert gate.sizes == [1, 2, 2]
+            assert frontend.counters["jobs_failed"] == 1
+            assert frontend.counters["jobs_ok"] == 2
         finally:
-            batcher.close()
+            frontend.stop()
 
     def test_wrong_result_count_is_an_error(self):
-        batcher = MicroBatcher(
-            lambda items: [0], max_batch_size=4, max_wait_ms=5
-        )
+        gate = _Gate(lambda queries, ks, contexts: [0])
+        frontend = _frontend(gate, max_batch_size=4)
         try:
-            futures = [batcher.submit_nowait(i) for i in range(3)]
+            blocker = _submit(frontend, 0)
+            assert gate.entered.wait(5.0)
+            futures = [_submit(frontend, i) for i in range(3)]
+            gate.release.set()
+            assert blocker.result(5.0) == [0]
             for future in futures:
                 with pytest.raises(RuntimeError, match="results"):
                     future.result(5.0)
         finally:
-            batcher.close()
+            frontend.stop()
 
     def test_result_timeout(self):
-        gate = threading.Event()
-
-        def handler(items):
-            gate.wait(5.0)
-            return list(items)
-
-        batcher = MicroBatcher(handler, max_batch_size=1, max_wait_ms=0)
+        gate = _Gate(lambda queries, ks, contexts: list(queries))
+        frontend = _frontend(gate, max_batch_size=1)
         try:
-            future = batcher.submit_nowait(1)
+            future = _submit(frontend, 1)
             with pytest.raises(TimeoutError):
                 future.result(0.05)
-            gate.set()
-            assert future.result(5.0) == 1  # late result still lands
+            gate.release.set()
+            assert future.result(5.0) == [1]  # late result still lands
         finally:
-            batcher.close()
+            frontend.stop()
 
 
 class TestLifecycle:
     def test_close_drains_queued_items(self):
-        gate = threading.Event()
-
-        def handler(items):
-            gate.wait(5.0)
-            return list(items)
-
-        batcher = MicroBatcher(handler, max_batch_size=2, max_wait_ms=1_000)
-        futures = [batcher.submit_nowait(i) for i in range(6)]
-        gate.set()
-        batcher.close()
-        assert [f.result(1.0) for f in futures] == list(range(6))
+        gate = _Gate(lambda queries, ks, contexts: list(queries))
+        frontend = _frontend(gate, max_batch_size=2)
+        futures = [_submit(frontend, i) for i in range(6)]
+        assert gate.entered.wait(5.0)
+        gate.release.set()
+        frontend.stop()
+        assert [f.result(1.0) for f in futures] == [[i] for i in range(6)]
 
     def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(identity_handler)
-        batcher.close()
-        assert batcher.closed
-        with pytest.raises(BatcherClosedError):
-            batcher.submit(1)
+        frontend = _frontend(identity_handler)
+        frontend.stop()
+        assert not frontend.ready
+        with pytest.raises(ShedError) as info:
+            _submit(frontend, 1)
+        assert info.value.reason == "shutdown"
 
     def test_close_is_idempotent(self):
-        batcher = MicroBatcher(identity_handler)
-        batcher.close()
-        batcher.close()
+        frontend = _frontend(identity_handler)
+        frontend.stop()
+        frontend.stop()
+
+    def test_stop_racing_submit_never_strands_a_burst(self, monkeypatch):
+        # stop() completes between submit's stopped-check and its offer:
+        # the burst lands in a queue no dispatcher will ever drain.  It
+        # must be refused, not left to wait out the caller's timeout.
+        frontend = _frontend(identity_handler)
+        original = AdmissionQueue.offer
+
+        def offer_after_stop(queue, job):
+            frontend.stop()
+            return original(queue, job)
+
+        monkeypatch.setattr(AdmissionQueue, "offer", offer_after_stop)
+        with pytest.raises(ShedError) as info:
+            _submit(frontend, 1).result(2.0)
+        assert info.value.reason == "shutdown"
+        assert len(frontend.queue) == 0

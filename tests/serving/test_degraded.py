@@ -132,7 +132,7 @@ class TestLinkerDegradedMode:
 class TestServiceDegradedMetrics:
     def test_degraded_counters(self, make_linker):
         service = LinkingService(
-            make_linker(), ServingConfig(warm_on_start=False, batch_wait_ms=0.0)
+            make_linker(), ServingConfig(warm_on_start=False)
         )
         service.start(wait=True)
         try:
@@ -152,7 +152,7 @@ class TestServiceDegradedMetrics:
     def test_budget_counter_distinct_from_failures(self, make_linker):
         service = LinkingService(
             make_linker(phase2_budget_s=0.005),
-            ServingConfig(warm_on_start=False, batch_wait_ms=0.0),
+            ServingConfig(warm_on_start=False),
         )
         service.start(wait=True)
         try:
@@ -227,7 +227,7 @@ class TestDegradedOverHTTP:
     def running_server(self, make_linker):
         service = LinkingService(
             make_linker(),
-            ServingConfig(port=0, warm_on_start=False, batch_wait_ms=0.0),
+            ServingConfig(port=0, warm_on_start=False),
         )
         service.start(wait=True)
         server = create_server(service, port=0)

@@ -49,8 +49,7 @@ def running_server(trained_pipeline):
     linker = NeuralConceptLinker(model, ontology, LinkerConfig(k=5), kb=kb)
     service = LinkingService(
         linker,
-        ServingConfig(port=0, max_batch_size=8, batch_wait_ms=2.0,
-                      request_timeout_s=30.0),
+        ServingConfig(port=0, max_batch_size=8, request_timeout_s=30.0),
     )
     service.start(wait=True)
     server = create_server(service, port=0)
@@ -168,8 +167,8 @@ class TestConcurrencyDeterminism:
     def test_32_concurrent_requests_match_sequential(
         self, running_server, make_linker
     ):
-        """The acceptance criterion: 32 in-flight requests, coalesced by
-        the batcher into arbitrary batch shapes, must return rankings
+        """The acceptance criterion: 32 in-flight requests, fused by the
+        dispatcher into arbitrary batch shapes, must return rankings
         identical (cids and scores) to a fresh sequential linker."""
         base, _ = running_server
         sequential = make_linker()
@@ -197,9 +196,10 @@ class TestConcurrencyDeterminism:
     def test_batcher_actually_coalesced_something(self, running_server):
         base, _ = running_server
         _, payload = _get(base, "/v1/metrics")
-        stats = payload["batcher"]
-        assert stats["items"] > stats["batches"] >= 1
-        assert stats["max_batch"] > 1
+        # More queries than link_batch calls: some call fused requests.
+        sizes = payload["histograms"]["batch_size"]
+        assert sizes["sum"] > sizes["count"] >= 1
+        assert payload["counters"]["batches_total"] == sizes["count"]
 
 
 class TestMetricsEndpoint:

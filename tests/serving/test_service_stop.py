@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.core.config import ServingConfig
+from repro.serving.procpool import ProcessPool
 from repro.serving.service import LinkingService
 
 
@@ -81,3 +82,38 @@ class TestStopIdempotency:
         service.attach_lifecycle(object())
         with pytest.raises(RuntimeError, match="already attached"):
             service.attach_lifecycle(object())
+
+
+class TestWorkerTierStop:
+    def test_eight_concurrent_stops_tear_the_pool_down_once(
+        self, make_procpool_service, monkeypatch
+    ):
+        teardowns = []
+        original = ProcessPool.stop
+
+        def counting_stop(pool, *args, **kwargs):
+            teardowns.append(pool)
+            return original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPool, "stop", counting_stop)
+        service = make_procpool_service(
+            workers=1, warm_on_start=False
+        ).start(wait=True)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def stopper():
+            barrier.wait(timeout=5.0)
+            try:
+                service.stop()
+            except Exception as error:  # noqa: BLE001 - the finding
+                errors.append(error)
+
+        threads = [threading.Thread(target=stopper) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=15.0)
+        assert not errors
+        assert len(teardowns) == 1
+        assert not service.healthy

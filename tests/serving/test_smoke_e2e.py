@@ -66,7 +66,7 @@ class TestServingSmoke:
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--model", str(model), "--port", "0",
-             "--max-batch-size", "8", "--batch-wait-ms", "2"],
+             "--max-batch-size", "8"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -186,7 +186,7 @@ class TestServingSmoke:
                 "size": encodings["size"],
                 "evictions": encodings["evictions"],
             },
-            "batcher": metrics["batcher"],
+            "frontend": metrics["frontend"],
         }
         bench_path = data.parent / "BENCH_serving.json"
         bench_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -66,7 +66,7 @@ def traced_server(trained_pipeline):
         linker,
         ServingConfig(
             port=0, trace_sample_rate=1.0, trace_buffer=64,
-            max_batch_size=8, batch_wait_ms=2.0,
+            max_batch_size=8,
         ),
     )
     service.start(wait=True)
@@ -227,8 +227,8 @@ class TestCrossThreadPropagation:
             by_name = _spans_by_name(body["traces"][0])
             assert len(by_name["service.request"]) == 1
             assert by_name["service.request"][0]["tags"]["query"] == query
-            # The linker spans ran on the batcher's worker thread; they
-            # must land under this request's span, once each.
+            # The linker spans ran on the dispatcher thread; they must
+            # land under this request's span, once each.
             assert len(by_name["linker.rewrite"]) == 1
             assert len(by_name["linker.phase2"]) == 1
 

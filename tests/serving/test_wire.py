@@ -136,7 +136,7 @@ def spied(trained_pipeline):
     ontology, kb, model = trained_pipeline
     linker = NeuralConceptLinker(model, ontology, LinkerConfig(k=5), kb=kb)
     service = LinkingService(
-        linker, ServingConfig(port=0, batch_wait_ms=1.0, request_timeout_s=30.0)
+        linker, ServingConfig(port=0, request_timeout_s=30.0)
     )
     service.start(wait=True)
     server = _SpiedServer(service)

@@ -16,9 +16,10 @@ class TestSurface:
         # cross-ontology mapping, 1.6 the single Phase-II path, which
         # dropped two LinkerConfig flags and an engine parameter, 1.7
         # the one concept engine, which dropped LinkerConfig.shards,
-        # ShardFailure and the sharded engine's name); the major
-        # component is the /v1 route contract.
-        assert api.API_VERSION == "1.7"
+        # ShardFailure and the sharded engine's name, 1.8 the one
+        # serving dispatcher, which dropped ServingConfig.batch_wait_ms);
+        # the major component is the /v1 route contract.
+        assert api.API_VERSION == "1.8"
         assert api.API_VERSION.split(".")[0] == "1"
 
     def test_every_exported_name_resolves(self):

@@ -251,19 +251,18 @@ class TestParser:
         assert args.port == 8080
         assert args.cache_size == 4096
         assert args.max_batch_size == 8
-        assert args.batch_wait_ms == 2.0
+        assert not hasattr(args, "batch_wait_ms")
         assert args.request_timeout == 30.0
         assert args.no_warm is False
 
     def test_serve_overrides(self):
         args = build_parser().parse_args(
             ["serve", "--model", "m/", "--port", "0", "--cache-size", "0",
-             "--max-batch-size", "32", "--batch-wait-ms", "0.5", "--no-warm"]
+             "--max-batch-size", "32", "--no-warm"]
         )
         assert args.port == 0
         assert args.cache_size == 0
         assert args.max_batch_size == 32
-        assert args.batch_wait_ms == 0.5
         assert args.no_warm is True
 
     def test_serve_requires_model(self):

@@ -190,42 +190,7 @@ class NeuralConceptLinker:
             self._log_priors = {
                 cid: math.log(mass / total) for cid, mass in priors.items()
             }
-        if self._engine is not None:
-            # The engine's generator indexes the artifact's *frozen*
-            # documents (not live ontology + KB state), so Ω and any
-            # direct `candidates` use can never drift from what the
-            # engine serves.
-            self.candidates = self._engine.candidates
-        else:
-            self.candidates = CandidateGenerator(
-                ontology,
-                kb=kb,
-                index_aliases=self.config.index_aliases,
-                restrict_to=restrict_to,
-            )
-        self.rewriter: Optional[QueryRewriter] = None
-        if self.config.rewrite_queries:
-            self.rewriter = QueryRewriter(
-                self.candidates.omega,
-                word_vectors=word_vectors,
-                edit_distance_max=self.config.edit_distance_max,
-                min_similarity=self.config.rewrite_min_similarity,
-            )
-        # Scoring vocabulary: Ω plus alias words — exactly the words the
-        # decoder saw as training targets, i.e. the words whose decode
-        # probabilities carry learned signal.
-        self._omega = self.candidates.omega
-        self._scoring_vocabulary = set(self._omega)
-        if kb is not None:
-            for _, alias in kb.labeled_snippets():
-                self._scoring_vocabulary.update(tokenize(alias))
-        capacity = self.config.encoding_cache_size or None
-        self._encoding_cache: LRUCache[str, ConceptEncoding] = LRUCache(
-            capacity, name="encodings"
-        )
-        self._ancestor_cache: LRUCache[str, List[ConceptEncoding]] = LRUCache(
-            capacity, name="ancestors"
-        )
+        self._derive_from_engine()
         #: Provenance from the deployment manifest (seed, resume point,
         #: training losses …); populated by ``load_pipeline`` and
         #: surfaced by the serving layer's ``/metrics``.
@@ -265,8 +230,8 @@ class NeuralConceptLinker:
 
         Replaces the model and engine pointers and rebuilds everything
         derived from them — Phase-I candidates (the new engine's index
-        over its artifact's frozen documents), the OOV rewriter, the
-        scoring vocabulary — then *replaces* (not clears) the encoding
+        over its artifact's frozen documents), the OOV rewriter (so the
+        old Ω's Eq. 13 table is dropped), the scoring vocabulary — then *replaces* (not clears) the encoding
         caches: an in-flight ``get_or_create`` computed against the old
         model can only land in the orphaned cache object, so a stale
         encoding can never score under the new fingerprint.  Returns the previous
@@ -293,30 +258,7 @@ class NeuralConceptLinker:
         previous = (self.model, self._engine)
         self.model = model
         self._engine = engine
-        if engine is not None:
-            self.candidates = engine.candidates
-        else:
-            self.candidates = CandidateGenerator(
-                self.ontology,
-                kb=self._kb,
-                index_aliases=self.config.index_aliases,
-                restrict_to=self._restrict_to,
-            )
-        if self.config.rewrite_queries:
-            self.rewriter = QueryRewriter(
-                self.candidates.omega,
-                word_vectors=self._word_vectors,
-                edit_distance_max=self.config.edit_distance_max,
-                min_similarity=self.config.rewrite_min_similarity,
-            )
-        self._omega = self.candidates.omega
-        self._scoring_vocabulary = set(self._omega)
-        if self._kb is not None:
-            for _, alias in self._kb.labeled_snippets():
-                self._scoring_vocabulary.update(tokenize(alias))
-        capacity = self.config.encoding_cache_size or None
-        self._encoding_cache = LRUCache(capacity, name="encodings")
-        self._ancestor_cache = LRUCache(capacity, name="ancestors")
+        self._derive_from_engine()
         if artifact_dir is not None:
             import dataclasses
 
@@ -324,6 +266,52 @@ class NeuralConceptLinker:
                 self.config, artifact_dir=str(artifact_dir)
             )
         return previous
+
+    def _derive_from_engine(self) -> None:
+        """Build everything that follows from the active engine (or its
+        absence): Phase-I candidates (and so Ω), the OOV rewriter (and
+        so its Eq. 13 table), the scoring vocabulary and fresh encoding
+        caches.  Construction and :meth:`swap_engine` both call this, so
+        a swap rebuilds them in exactly one place."""
+        if self._engine is not None:
+            # The engine's generator indexes the artifact's *frozen*
+            # documents (not live ontology + KB state), so Ω and any
+            # direct `candidates` use can never drift from what the
+            # engine serves.
+            self.candidates = self._engine.candidates
+        else:
+            self.candidates = CandidateGenerator(
+                self.ontology,
+                kb=self._kb,
+                index_aliases=self.config.index_aliases,
+                restrict_to=self._restrict_to,
+            )
+        omega = self.candidates.omega  # a fresh copy
+        self.rewriter: Optional[QueryRewriter] = (
+            QueryRewriter(
+                omega,
+                word_vectors=self._word_vectors,
+                edit_distance_max=self.config.edit_distance_max,
+                min_similarity=self.config.rewrite_min_similarity,
+            )
+            if self.config.rewrite_queries
+            else None
+        )
+        # Scoring vocabulary: Ω plus alias words — exactly the words the
+        # decoder saw as training targets, i.e. the words whose decode
+        # probabilities carry learned signal.
+        # The rewriter holds its own copy of Ω, so ``omega`` can grow.
+        if self._kb is not None:
+            for _, alias in self._kb.labeled_snippets():
+                omega.update(tokenize(alias))
+        self._scoring_vocabulary = omega
+        capacity = self.config.encoding_cache_size or None
+        self._encoding_cache: LRUCache[str, ConceptEncoding] = LRUCache(
+            capacity, name="encodings"
+        )
+        self._ancestor_cache: LRUCache[str, List[ConceptEncoding]] = LRUCache(
+            capacity, name="ancestors"
+        )
 
     # -- encoding cache -----------------------------------------------------
 

@@ -10,14 +10,27 @@ For each query word ``w`` not in the ontology vocabulary Ω:
    apply step 1;
 3. purely numeric tokens (``5`` in ``ckd 5``) are never rewritten —
    they carry stage/type information verbatim.
+
+Step 1 scores one contiguous matrix holding only the unit rows of the
+Ω words that have vectors (tag words excluded), in Ω′ order, and takes
+its ``argmax`` — equal cosines go to the earliest Ω′ position, the tie
+rule of :meth:`WordVectors.nearest`.  Each Ω′ word's answer (or
+``None``) is then kept in a per-rewriter table, so the table holds at
+most |Ω′| entries whatever the traffic: a typo still runs its edit
+repair on every call and only the Ω′ word it repairs to is looked up.
+A new Ω means a new rewriter (the linker rebuilds it on a swap), so
+the table never outlives its Ω.  Entries are idempotent values set
+under the GIL, so concurrent callers need no lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.embeddings.similarity import WordVectors
+import numpy as np
+
+from repro.embeddings.similarity import WordVectors, cosines
 from repro.text.edit_distance import levenshtein
 from repro.utils.errors import ConfigurationError
 
@@ -63,14 +76,20 @@ class QueryRewriter:
         self._min_edit_word_length = min_edit_word_length
         # Candidate pool for the edit-distance fallback: Ω′ when vectors
         # exist (so a typo can first repair to an Ω′ word), else Ω.
+        self._omega_words: Tuple[str, ...] = ()
         if word_vectors is not None:
+            tags = word_vectors.tag_words
             self._edit_pool = [
-                word
-                for word in word_vectors.words
-                if word not in word_vectors.tag_words
+                word for word in word_vectors.words if word not in tags
             ]
+            self._omega_words = tuple(
+                word for word in self._edit_pool if word in self._omega
+            )
+            self._omega_unit = word_vectors.unit_rows(self._omega_words)
         else:
             self._edit_pool = sorted(self._omega)
+        # Eq. 13 answer per Ω′ word, filled on first use.
+        self._nearest: Dict[str, Optional[str]] = {}
 
     @property
     def omega(self) -> Set[str]:
@@ -115,15 +134,23 @@ class QueryRewriter:
         up") have no semantic counterpart in Ω; their nearest cosine is
         low and substituting them would inject noise into both
         retrieval and scoring, so they are kept as-is.
+
+        ``word`` is an Ω′ word outside Ω, so it can never be its own
+        answer.
         """
+        try:
+            return self._nearest[word]
+        except KeyError:
+            pass
         assert self._vectors is not None
-        matches = self._vectors.nearest(word, k=1, restrict_to=self._omega)
-        if not matches:
-            return None
-        candidate, similarity = matches[0]
-        if similarity < self._min_similarity:
-            return None
-        return candidate
+        nearest: Optional[str] = None
+        if self._omega_words:
+            scores = cosines(self._omega_unit, self._vectors.vector_of(word))
+            best = int(np.argmax(scores))
+            if scores[best] >= self._min_similarity:
+                nearest = self._omega_words[best]
+        self._nearest[word] = nearest
+        return nearest
 
     def _edit_repair(self, word: str) -> Optional[str]:
         """Closest Ω′ word within the edit-distance budget (ties: shortest,

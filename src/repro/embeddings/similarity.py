@@ -17,6 +17,23 @@ import numpy as np
 from repro.utils.errors import DataError
 
 
+def cosines(unit_rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Cosine of ``vector`` with each row of ``unit_rows`` (unit-norm rows).
+
+    A zero ``vector`` scores 0.0 against every row.  Each row's dot
+    product runs the same per-row loop, so its value depends only on
+    the row and ``vector`` — not on the row's position or on which
+    other rows share the matrix.  A BLAS mat-vec blocks rows and can
+    differ in the last bit between equal rows; here equal rows tie
+    exactly, and a sub-matrix scores each row as the full one does.
+    """
+    vector = np.asarray(vector, dtype=np.float64)
+    norm = np.linalg.norm(vector)
+    if norm == 0.0:
+        norm = 1.0
+    return np.einsum("ij,j->i", unit_rows, vector / norm)
+
+
 class WordVectors:
     """An immutable ``word -> R^d`` map with cosine search.
 
@@ -78,6 +95,11 @@ class WordVectors:
         """Stacked vectors for ``words`` as an ``(n, d)`` matrix."""
         return np.vstack([self.vector_of(word) for word in words])
 
+    def unit_rows(self, words: Sequence[str]) -> np.ndarray:
+        """Unit-norm rows of ``words`` as one contiguous ``(n, d)`` matrix
+        (a zero vector stays zero), ready for :func:`cosines`."""
+        return self._unit[[self._index[word] for word in words]]
+
     # -- similarity -----------------------------------------------------
 
     def cosine(self, left: str, right: str) -> float:
@@ -113,16 +135,15 @@ class WordVectors:
         restrict_to: Optional[Set[str]] = None,
         exclude: Optional[Set[str]] = None,
     ) -> List[Tuple[str, float]]:
-        """Top-``k`` cosine-nearest words to an arbitrary vector."""
-        vector = np.asarray(vector, dtype=np.float64)
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            norm = 1.0
-        scores = self._unit @ (vector / norm)
+        """Top-``k`` cosine-nearest words to an arbitrary vector.
+
+        Equal cosines rank by earliest position in :attr:`words`.
+        """
+        scores = cosines(self._unit, vector)
         blocked = set(self._tags)
         if exclude:
             blocked |= exclude
-        order = np.argsort(-scores)
+        order = np.argsort(-scores, kind="stable")
         results: List[Tuple[str, float]] = []
         for position in order:
             candidate = self._words[int(position)]

@@ -32,6 +32,7 @@ by finite differences in ``tests/core/test_comaid_grad.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +41,8 @@ from repro.core.config import ComAidConfig
 from repro.nn.attention import Attention, AttentionCache
 from repro.nn.embedding import Embedding
 from repro.nn.functional import (
-    batched_target_log_probs,
     log_normalizers,
+    logit_bound,
     matmul_rows,
     softmax_cross_entropy,
     tanh,
@@ -120,18 +121,21 @@ class ConceptMemory:
         )
 
     def text(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(B, W, d)`` text memory and ``(B, W)`` mask for ``rows``,
-        ``W`` being the widest of their descriptions.
+        """``(B, W, d)`` text memory and ``(B, W)`` additive mask for
+        ``rows``, ``W`` being the widest of their descriptions.
 
         One gather into ``states``.  A padding slot repeats its
-        concept's last real row: the mask gives it weight exactly 0, so
-        it adds exactly 0 to the context.
+        concept's last real row, and the mask is ``0`` on a row's real
+        slots and ``−inf`` on its padding: the attention softmax gives a
+        padding slot weight exactly 0, so it adds exactly 0 to the
+        context.
         """
         first = self.offsets[rows]
         widths = self.offsets[rows + 1] - first
         slots = np.arange(widths.max())
         state_rows = first[:, None] + np.minimum(slots, widths[:, None] - 1)
-        return self.states[state_rows], slots < widths[:, None]
+        mask = np.where(slots < widths[:, None], 0.0, -np.inf)
+        return self.states[state_rows], mask
 
 
 @dataclass
@@ -551,9 +555,11 @@ class ComAid(Module):
         Step 0 depends only on the concept, so it runs once per
         distinct ``(concept, ancestors)`` pair of the call
         (:meth:`decoder_start`); the rows then decode together from
-        step 1 (:meth:`score_from_starts`).  Inference-only: no caches
-        are kept and no gradients flow — training and the
-        equivalence-test oracle stay on the sequential :meth:`_decode`.
+        step 1 (:meth:`score_from_starts`), under the logit bound of
+        the current output layer (:meth:`logit_bound`, computed per
+        call).  Inference-only: no caches are kept and no gradients
+        flow — training and the equivalence-test oracle stay on the
+        sequential :meth:`_decode`.
 
         A candidate's ancestors may be given either as the usual
         sequence of :class:`ConceptEncoding` (runtime encoding path) or
@@ -589,8 +595,22 @@ class ComAid(Module):
         )
         starts = self.decoder_start(memory, np.arange(len(distinct)))
         return self.score_from_starts(
-            query_ids, tuple(part[rows] for part in starts), memory, rows
+            query_ids,
+            tuple(part[rows] for part in starts),
+            memory,
+            rows,
+            self.logit_bound(),
         )
+
+    def logit_bound(self) -> float:
+        """The output layer's logit bound ``L = max_w(‖W_s[w]‖₁ + |b_w|)``.
+
+        ``s̃ = tanh(·)`` (Eq. 8), so every Eq. 9 logit lies within
+        ``±L`` (:func:`~repro.nn.functional.logit_bound`).  A full pass
+        over ``W_s``: the compiled-artifact engine computes it once,
+        since its weights are pinned to the artifact fingerprint.
+        """
+        return logit_bound(self.output.weight.value, self.output.bias.value)
 
     def decoder_start(
         self, memory: ConceptMemory, rows: np.ndarray
@@ -603,9 +623,10 @@ class ComAid(Module):
         and the output normaliser (Eq. 9) are fixed per concept.
         Returns ``(h_1, c_1, s̃_0, log Z_0)``: step 0 scores target
         ``w`` as ``W_s[w]·s̃_0 + b[w] − log Z_0``, and the decode
-        resumes at step 1 from ``(h_1, c_1)``.
+        resumes at step 1 from ``(h_1, c_1)``.  ``log Z_0`` is always
+        the max-shifted normaliser.
         """
-        x = self.embedding.forward(np.full(len(rows), self.vocab.bos_id))
+        x = self.embedding.weight.value[np.full(len(rows), self.vocab.bos_id)]
         h, c = self.decoder.cell.step_batch(
             x, memory.final_h[rows], memory.final_c[rows]
         )
@@ -620,7 +641,9 @@ class ComAid(Module):
         self, memory: ConceptMemory, rows: np.ndarray
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
         """``(text memory, text mask, structure memory)`` for concepts
-        ``rows`` of ``memory``; ``None`` where an attention is off."""
+        ``rows`` of ``memory``, built once per call; ``None`` where an
+        attention is off.  The text mask is the additive ``0 / −inf``
+        bias of :meth:`ConceptMemory.text`."""
         text_memory = text_mask = structure = None
         if self.config.use_text_attention:
             text_memory, text_mask = memory.text(rows)
@@ -637,20 +660,28 @@ class ComAid(Module):
     ) -> np.ndarray:
         """``s̃ = tanh(W_d [s; tc; sc] + b_d)`` (Eq. 8) for the decoder
         states ``h``, which attend over the first ``len(h)`` rows of
-        the memories."""
-        rows = h.shape[0]
-        parts = [h]
+        the memories (Eq. 5-7).
+
+        The contexts are written straight into the composite layer's
+        input, and the bias add and ``tanh`` run in place on the
+        product.  Shared by :meth:`decoder_start` and the decode loop,
+        so Eqs. 5-8 exist once on the batched path.
+        """
+        rows, dim = h.shape
+        composite = self.composite
+        stacked = np.empty((rows, composite.in_dim))
+        stacked[:, :dim] = h
         if text_memory is not None:
-            contexts, _ = self.text_attention.forward_batch(
-                h, text_memory[:rows], text_mask[:rows]
+            self.text_attention.forward_batch(
+                h, text_memory[:rows], text_mask[:rows], stacked[:, dim : 2 * dim]
             )
-            parts.append(contexts)
         if structure is not None:
-            contexts, _ = self.structure_attention.forward_batch(
-                h, structure[:rows]
+            self.structure_attention.forward_batch(
+                h, structure[:rows], None, stacked[:, -dim:]
             )
-            parts.append(contexts)
-        return tanh(self.composite.forward(np.concatenate(parts, axis=1)))
+        s_tilde = matmul_rows(stacked, composite.weight.value.T)
+        s_tilde += composite.bias.value
+        return np.tanh(s_tilde, out=s_tilde)
 
     def score_from_starts(
         self,
@@ -658,13 +689,15 @@ class ComAid(Module):
         starts: DecoderStarts,
         memory: ConceptMemory,
         rows: np.ndarray,
+        bound: float,
     ) -> np.ndarray:
         """``log p(q_j | c_j)`` per row, decoding from step 1.
 
         Row ``j`` decodes query ``query_ids[j]`` against concept
         ``rows[j]`` of ``memory``; ``starts`` holds each row's
-        :meth:`decoder_start` output.  Step 0's score is a gather and
-        a row dot against ``s̃_0`` — no ``|V|``-wide work.
+        :meth:`decoder_start` output and is only read.  Step 0's score
+        is a gather and a row dot against ``s̃_0`` — no ``|V|``-wide
+        work.  ``bound`` is the output layer's :meth:`logit_bound`.
 
         All rows advance in lock-step from step 1: one ``(k, ·)``
         matmul per decoder timestep instead of k mat-vecs (the trick
@@ -678,57 +711,72 @@ class ComAid(Module):
         concept's true description length; structure attention (Eq. 7)
         runs over the ``(k, β, d)`` ancestor block — Def. 4.1's
         first-level duplication already pads every ancestor path to
-        exactly β, so no mask is needed there.  Each step reads only
-        the target entry of the ``|V|``-wide softmax
-        (:func:`~repro.nn.functional.batched_target_log_probs`).
+        exactly β, so no mask is needed there.
+
+        Every check and table is built once per call: the sorted
+        ``(k, span + 1)`` word matrix (each query, then ``<eos>``), its
+        id range (``IndexError``), empty queries (``DataError``) and
+        the text mask.  A step then gathers embedding rows directly and
+        reads only the target entry of the ``|V|``-wide softmax; with
+        ``bound`` below :data:`~repro.nn.functional.SHIFT_FREE_LIMIT`
+        its normaliser needs no max shift
+        (:func:`~repro.nn.functional.log_normalizers`).
         """
-        queries = [list(ids) for ids in query_ids]
-        if any(not query for query in queries):
+        size = len(query_ids)
+        lengths = np.fromiter(map(len, query_ids), np.intp, size)
+        if not lengths.all():
             raise DataError("cannot score an empty query")
-        size = len(queries)
-        h, c, s_tilde, log_z = starts
-        weight = self.output.weight.value
-        bias = self.output.bias.value
-        first = np.asarray([query[0] for query in queries], dtype=np.intp)
-        step0 = np.einsum("bd,bd->b", weight[first], s_tilde)
-        step0 += bias[first] - log_z
         # Longest decode first; the stable sort keeps equal lengths in
         # the caller's order.  live[t] = rows still decoding at step
         # t + 1; every row runs at least its <eos> step.
-        lengths = np.asarray([len(query) for query in queries])
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
-        steps = np.arange(lengths[0])
-        live = np.count_nonzero(lengths[:, None] > steps, axis=0).tolist()
-        # targets[b, t] is the word row b predicts at step t + 1 (the
-        # rest of its query, then <eos>); the input at step t + 1 is the
-        # word step t predicted.  Entries past a row's last step are
-        # never read.
-        targets = np.full((size, steps.size), self.vocab.eos_id, dtype=np.intp)
-        targets[steps < lengths[:, None] - 1] = [
-            word for row in order for word in queries[row][1:]
-        ]
-        input_ids = np.empty_like(targets)
-        input_ids[:, 0] = first[order]
-        input_ids[:, 1:] = targets[:, :-1]
-        h = h[order]
-        c = c[order]
+        span = int(lengths[0])
+        live = np.count_nonzero(
+            lengths[:, None] > np.arange(span), axis=0
+        ).tolist()
+        # words[b] is sorted row b's query, then <eos> to the width
+        # span + 1: step t + 1 reads word t and predicts word t + 1.
+        # Entries past a row's <eos> are never read.
+        eos = [self.vocab.eos_id] * (span + 1)
+        words = np.fromiter(
+            chain.from_iterable(
+                chain(query_ids[row], eos[length:])
+                for row, length in zip(order.tolist(), lengths.tolist())
+            ),
+            np.intp,
+            size * (span + 1),
+        ).reshape(size, span + 1)
+        embedding = self.embedding.weight.value
+        if words.min() < 0 or words.max() >= embedding.shape[0]:
+            raise IndexError(
+                f"word ids out of range [0, {embedding.shape[0]}): "
+                f"{words.min()}..{words.max()}"
+            )
+        h, c, s_tilde, log_z = (part[order] for part in starts)
+        weight = self.output.weight.value
+        bias = self.output.bias.value
+        first = words[:, 0]
+        sorted_log_probs = np.einsum("bd,bd->b", weight[first], s_tilde)
+        sorted_log_probs += bias[first] - log_z
         memories = self._attention_memories(memory, np.asarray(rows)[order])
-        sorted_log_probs = step0[order]
         # One logits buffer per call, reused by every step: a fresh
         # (rows, |V|) temporary per step costs more in page faults than
         # the exp over it.
         logits_buffer = np.empty((size, bias.shape[0]))
         weight_t = weight.T
+        cell = self.decoder.cell
+        row_index = np.arange(size)
         for t, live_rows in enumerate(live):
-            x = self.embedding.forward(input_ids[:live_rows, t])
-            h, c = self.decoder.cell.step_batch(x, h[:live_rows], c[:live_rows])
+            h, c = cell.step_batch(
+                embedding[words[:live_rows, t]], h[:live_rows], c[:live_rows]
+            )
             s_tilde = self._composite_state(h, *memories)
             logits = matmul_rows(s_tilde, weight_t, out=logits_buffer[:live_rows])
             logits += bias
-            sorted_log_probs[:live_rows] += batched_target_log_probs(
-                logits, targets[:live_rows, t]
-            )
+            targets = logits[row_index[:live_rows], words[:live_rows, t + 1]]
+            targets -= log_normalizers(logits, bound)
+            sorted_log_probs[:live_rows] += targets
         log_probs = np.empty(size)
         log_probs[order] = sorted_log_probs
         return log_probs

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.comaid import ComAid, ConceptEncoding
@@ -270,9 +270,10 @@ class NeuralConceptLinker:
     def _derive_from_engine(self) -> None:
         """Build everything that follows from the active engine (or its
         absence): Phase-I candidates (and so Ω), the OOV rewriter (and
-        so its Eq. 13 table), the scoring vocabulary and fresh encoding
-        caches.  Construction and :meth:`swap_engine` both call this, so
-        a swap rebuilds them in exactly one place."""
+        so its Eq. 13 table), the scoring vocabulary, a fresh table of
+        description-word sets and fresh encoding caches.  Construction
+        and :meth:`swap_engine` both call this, so a swap rebuilds them
+        in exactly one place."""
         if self._engine is not None:
             # The engine's generator indexes the artifact's *frozen*
             # documents (not live ontology + KB state), so Ω and any
@@ -305,6 +306,7 @@ class NeuralConceptLinker:
             for _, alias in self._kb.labeled_snippets():
                 omega.update(tokenize(alias))
         self._scoring_vocabulary = omega
+        self._description_words_of: Dict[str, FrozenSet[str]] = {}
         capacity = self.config.encoding_cache_size or None
         self._encoding_cache: LRUCache[str, ConceptEncoding] = LRUCache(
             capacity, name="encodings"
@@ -504,10 +506,17 @@ class NeuralConceptLinker:
         Every query's surviving candidates are concatenated into one
         lock-step ``score_batch`` decode — one GEMM per decoder timestep
         over the union of candidates, whether the batch holds one query
-        or many.  ``score_batch`` rows are batch-composition independent,
-        so each query's scores match the per-candidate reference
-        (``model.score_with_encodings``) to ≤1e-9 whatever it was batched
-        with.  The shared decode's wall time is attributed to the first
+        or many.  A candidate's row is its query's scoring-token ids
+        (:meth:`_scoring_tokens`, encoded once per query) minus the
+        words of its canonical description (Section 5's shared-word
+        removal, :meth:`_description_words`): shared words are
+        trivially decodable, so scoring concentrates on the discrepant
+        words.  A candidate left with no word is fully covered by its
+        description and scores log-probability 0, the maximum, without
+        running the model.  ``score_batch`` rows are batch-composition
+        independent, so each query's scores match the per-candidate
+        reference (``model.score_with_encodings``) to ≤1e-9 whatever it
+        was batched with.  The shared decode's wall time is attributed to the first
         query with candidates in it — splitting it would fabricate
         per-query latencies for work that was done once — and its
         ``linker.phase2.decode`` span nests under that query's
@@ -526,6 +535,7 @@ class NeuralConceptLinker:
         """
         config = self.config
         budget = config.phase2_budget_s
+        remove_shared = config.remove_shared_words
         deadlines: List[Optional[float]] = []
         degraded: List[Optional[str]] = [None] * len(prepared_list)
         ed_spans: List[Any] = []
@@ -547,6 +557,8 @@ class NeuralConceptLinker:
                 with prepared.timer.phase("ED"), trace.attach(ed_span):
                     try:
                         scoring = self._scoring_tokens(prepared.rewritten)
+                        scoring_ids = self.model.words_to_ids(scoring)
+                        encoded = list(zip(scoring, scoring_ids))
                         for index, (cid, _) in enumerate(hits):
                             probe("linker.phase2")
                             if (
@@ -558,14 +570,18 @@ class NeuralConceptLinker:
                                     f"after {index}/{len(hits)} candidates"
                                 )
                                 break
-                            effective = self._effective_tokens(cid, scoring)
-                            if effective is None:
-                                log_probs[qi][index] = 0.0
+                            if remove_shared:
+                                shared = self._description_words(cid)
+                                ids = [
+                                    i for tok, i in encoded if tok not in shared
+                                ]
                             else:
+                                ids = scoring_ids
+                            if ids:
                                 pending_owner.append((qi, index))
-                                pending_ids.append(
-                                    self.model.words_to_ids(effective)
-                                )
+                                pending_ids.append(ids)
+                            else:
+                                log_probs[qi][index] = 0.0
                     except Exception as error:  # noqa: BLE001 - degraded-mode guard
                         if not config.degrade_on_error:
                             raise
@@ -715,27 +731,15 @@ class NeuralConceptLinker:
         ]
         return kept or tokens
 
-    def _effective_tokens(
-        self, cid: str, scoring_tokens: Sequence[str]
-    ) -> Optional[List[str]]:
-        """The query words Phase II actually decodes against ``cid``.
+    def _description_words(self, cid: str) -> FrozenSet[str]:
+        """The words of ``cid``'s canonical description, as a frozenset.
 
-        ``scoring_tokens`` is the query after :meth:`_scoring_tokens`.
-        Per Section 5 Phase II, words appearing in both the canonical
-        description and the query are temporarily removed
-        (``remove_shared_words``): shared words are trivially decodable,
-        so scoring concentrates on the discrepant words.  Returns
-        ``None`` when no word survives — the query is fully covered by
-        the description and scores log-probability 0, the maximum,
-        without running the model.
+        Built the first time a candidate needs it and kept, at most one
+        per ontology concept; :meth:`_derive_from_engine` starts a new
+        table.
         """
-        concept = self.ontology.get(cid)
-        effective = list(scoring_tokens)
-        if self.config.remove_shared_words:
-            description_words = set(concept.words)
-            effective = [
-                token for token in effective if token not in description_words
-            ]
-            if not effective:
-                return None
-        return effective
+        words = self._description_words_of.get(cid)
+        if words is None:
+            words = frozenset(self.ontology.get(cid).words)
+            self._description_words_of[cid] = words
+        return words

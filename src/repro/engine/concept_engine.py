@@ -94,6 +94,9 @@ class ConceptEngine:
         self._start_slot = np.full(len(artifact), -1, dtype=np.intp)
         self._starts = np.empty((0, 3 * dim + 1))
         self._starts_filled = 0
+        # Eq. 9's logit bound, fixed with the weights: a swap brings a
+        # new engine.
+        self._logit_bound = model.logit_bound()
         self._lock = threading.Lock()
         self._retrievals = 0
         self._score_batches = 0
@@ -302,6 +305,7 @@ class ConceptEngine:
                 ),
                 self._memory,
                 positions,
+                self._logit_bound,
             )
 
     def _decoder_starts(self, positions: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import masked_softmax, softmax
+from repro.nn.functional import softmax, softmax_inplace
 from repro.nn.module import Module
 
 
@@ -66,36 +66,38 @@ class Attention(Module):
         self,
         queries: np.ndarray,
         memory: np.ndarray,
-        mask: Optional[np.ndarray] = None,
+        bias: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched attention: one query row against one memory per row.
 
         ``queries`` is ``(B, d)``; ``memory`` is ``(B, N, d)`` — per-row
-        memories zero-padded to a common length ``N``; ``mask`` is an
-        optional ``(B, N)`` boolean marking each row's valid memory
-        entries (``None`` means all valid, e.g. the structure memories,
-        which Def. 4.1's first-level duplication pads to a uniform β).
-        Returns ``(contexts, weights)`` with shapes ``(B, d)`` and
-        ``(B, N)``; row ``b`` equals :meth:`forward` on ``queries[b]``
+        memories padded to a common length ``N``; ``bias`` is an
+        optional ``(B, N)`` additive mask, ``0`` on each row's valid
+        entries and ``−inf`` on its padding (``None`` means all valid,
+        e.g. the structure memories, which Def. 4.1's first-level
+        duplication pads to a uniform β).  The contexts are written
+        into ``out`` (any ``(B, d)`` float64 view, e.g. a slice of the
+        composite layer's input) or a new array.  Returns ``(contexts,
+        weights)``; row ``b`` equals :meth:`forward` on ``queries[b]``
         against the valid prefix of ``memory[b]`` (padding gets weight
-        exactly 0 and a zero-padded memory row contributes exactly
-        nothing to the context).  Inference-only: no cache, no backward.
+        exactly 0, so it adds exactly 0 to the context).  The softmax
+        runs in place on the scores; the inputs are never written.
+        Inference-only: no cache, no backward.
         """
-        queries = np.asarray(queries, dtype=np.float64)
-        memory = np.asarray(memory, dtype=np.float64)
-        if memory.ndim != 3:
-            raise ValueError(f"memory must be 3-D, got shape {memory.shape}")
-        if memory.shape[1] == 0:
-            raise ValueError("attention memory must be non-empty")
-        if queries.shape != (memory.shape[0], memory.shape[2]):
+        if memory.ndim != 3 or memory.shape[2] != queries.shape[1]:
             raise ValueError(
-                f"queries shape {queries.shape} incompatible with memory "
+                f"queries {queries.shape} incompatible with memory "
                 f"{memory.shape}"
             )
-        scores = np.einsum("bnd,bd->bn", memory, queries)
-        weights = masked_softmax(scores, mask)
-        contexts = np.einsum("bn,bnd->bd", weights, memory)
-        return contexts, weights
+        weights = np.matmul(memory, queries[:, :, None])[:, :, 0]
+        if bias is not None:
+            weights += bias
+        softmax_inplace(weights)
+        if out is None:
+            out = np.empty(queries.shape)
+        np.matmul(weights[:, None, :], memory, out=out[:, None, :])
+        return out, weights
 
     def backward(
         self, d_context: np.ndarray, cache: AttentionCache

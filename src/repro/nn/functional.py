@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -81,75 +82,57 @@ def softmax_cross_entropy(
     return loss, dlogits
 
 
-def masked_softmax(
-    scores: np.ndarray, mask: Optional[np.ndarray] = None, axis: int = -1
-) -> np.ndarray:
-    """Softmax along ``axis`` restricted to positions where ``mask`` holds.
+def softmax_inplace(scores: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of float64 ``scores``, in place.
 
-    Masked-out positions receive probability exactly 0, and the valid
-    positions' probabilities equal a plain softmax computed over the
-    valid entries alone: the max is taken over valid scores only and the
-    padding contributes exact zero terms to the normaliser.  This is the
-    property the batched Phase-II equivalence suite relies on when
-    candidate memories of different lengths are zero-padded to a common
-    width.  ``mask=None`` degrades to :func:`softmax`.  Every slice
-    along ``axis`` must keep at least one valid position.
+    The inference-only form of :func:`softmax` for the batched
+    attentions: shift by the row max, exponentiate and normalise, with
+    no temporary the size of ``scores``.  A mask enters as an additive
+    ``0 / −inf`` bias applied beforehand: a ``−inf`` score gets
+    probability exactly 0 and adds exactly 0 to the normaliser, so the
+    other positions equal a plain softmax over them alone.  Every row
+    needs at least one finite score.  Returns ``scores``.
     """
-    if mask is None:
-        return softmax(scores, axis=axis)
-    scores = np.asarray(scores, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape:
-        raise ValueError(
-            f"mask shape {mask.shape} != scores shape {scores.shape}"
-        )
-    if not np.all(np.any(mask, axis=axis)):
-        raise ValueError("masked_softmax: a slice has no valid positions")
-    masked = np.where(mask, scores, -np.inf)
-    shifted = masked - np.max(masked, axis=axis, keepdims=True)
-    exp = np.exp(shifted)  # exp(-inf) is exactly 0.0
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.sum(scores, axis=-1, keepdims=True)
+    return scores
 
 
-def batched_target_log_probs(
-    logits: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Per-row ``log softmax(logits[b])[targets[b]]`` for a ``(B, V)`` batch.
+#: :func:`log_normalizers` skips the max shift for logits bounded below
+#: this: ``e^600 ≈ 3.8e260`` and ``e^−600 ≈ 2.7e−261`` are normal
+#: float64 values, so no term overflows or underflows, and a row sum
+#: overflows only past ~10^47 terms.
+SHIFT_FREE_LIMIT = 600.0
 
-    The batched, sign-flipped analogue of :func:`softmax_cross_entropy`'s
-    loss term (no gradient is produced — the batched Phase-II path is
-    inference-only).  Computed as ``logit[target] −``
-    :func:`log_normalizers`, in place on the ``logits`` buffer, reading
-    out only the B target entries: the full log-softmax is never
-    materialised and no ``(B, V)`` temporary is allocated.  A float64
-    ``logits`` array is therefore overwritten (it ends holding the
-    shifted exponentials); pass a copy to keep it.
+
+def logit_bound(weight: np.ndarray, bias: np.ndarray) -> float:
+    """``L = max_w(‖W[w]‖₁ + |b_w|)`` for an output layer ``(W, b)``.
+
+    Every logit ``W[w]·s + b_w`` of an input ``s`` with entries in
+    ``[−1, 1]`` — a ``tanh`` output such as COM-AID's composite state
+    ``s̃`` (Eq. 8) — lies within ``±L`` (Hölder).  A bound at or above
+    :data:`SHIFT_FREE_LIMIT` keeps :func:`log_normalizers` on its
+    shifted branch.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-    index = np.asarray(targets, dtype=np.intp)
-    if index.shape != (logits.shape[0],):
-        raise ValueError(
-            f"targets shape {index.shape} != ({logits.shape[0]},)"
-        )
-    if index.size and (index.min() < 0 or index.max() >= logits.shape[1]):
-        raise IndexError(
-            f"target out of range for {logits.shape[1]} classes: "
-            f"{index.min()}..{index.max()}"
-        )
-    target = logits[np.arange(logits.shape[0]), index]
-    return target - log_normalizers(logits)
+    return float(np.max(np.abs(weight).sum(axis=1) + np.abs(bias)))
 
 
-def log_normalizers(logits: np.ndarray) -> np.ndarray:
+def log_normalizers(logits: np.ndarray, bound: float = math.inf) -> np.ndarray:
     """Per-row ``log Σ exp(logits[b])`` of a float64 ``(B, V)`` batch.
 
-    Shift by the row max, exponentiate and sum — the normaliser
-    :func:`log_softmax` subtracts — in place on ``logits``, which ends
-    holding the shifted exponentials.  Returns ``max + log Σ exp(logits
-    − max)``, finite for any finite logits.
+    In place on ``logits``, which ends holding its exponentials.
+    ``bound`` is an upper bound on every ``|logit|`` (see
+    :func:`logit_bound`).  Below :data:`SHIFT_FREE_LIMIT` the sum is
+    formed directly — exponentiate, sum, log — since no term can
+    overflow or underflow.  Otherwise (the default) the rows are first
+    shifted by their max, the normaliser :func:`log_softmax` subtracts,
+    and the result ``max + log Σ exp(logits − max)`` is finite for any
+    finite logits.
     """
+    if bound < SHIFT_FREE_LIMIT:
+        np.exp(logits, out=logits)
+        return np.log(np.sum(logits, axis=-1))
     shift = np.max(logits, axis=-1)
     logits -= shift[:, None]
     np.exp(logits, out=logits)

@@ -121,29 +121,38 @@ class GRUCell(Module):
 
         Row ``b`` of the output equals :meth:`step` on row ``b`` (to
         floating-point round-off).  Inference-only: no cache, no
-        gradients.
+        gradients.  The gate math runs in place in one pre-activation
+        buffer; the inputs are never written, and the output is a new
+        array.
         """
         hidden = self.hidden_dim
-        x = np.asarray(x, dtype=np.float64)
-        h_prev = np.asarray(h_prev, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"x must be (B, {self.input_dim}), got {x.shape}")
-        if h_prev.shape != (x.shape[0], hidden):
+        if x.shape[1:] != (self.input_dim,) or h_prev.shape != (
+            x.shape[0],
+            hidden,
+        ):
             raise ValueError(
-                f"h_prev must be ({x.shape[0]}, {hidden}), got {h_prev.shape}"
+                f"need x (B, {self.input_dim}) and h_prev (B, {hidden}), "
+                f"got x={x.shape}, h_prev={h_prev.shape}"
             )
-        pre_x = matmul_rows(x, self.wx.value.T) + self.bias.value
+        wh = self.wh.value
+        # One (B, 3h) pre-activation buffer; the gate math runs in it.
+        pre = matmul_rows(x, self.wx.value.T)
+        pre += self.bias.value
         # The update and reset gates are one contiguous block: one
         # sigmoid call over it is elementwise identical to two.
-        gates = sigmoid_inplace(
-            pre_x[:, : 2 * hidden]
-            + matmul_rows(h_prev, self.wh.value[: 2 * hidden].T)
-        )
-        update = gates[:, :hidden]
-        reset = gates[:, hidden:]
-        candidate_recurrent = matmul_rows(h_prev, self.wh.value[2 * hidden :].T)
-        candidate = tanh(pre_x[:, 2 * hidden :] + reset * candidate_recurrent)
-        h = (1.0 - update) * candidate + update * h_prev
+        gates = pre[:, : 2 * hidden]
+        gates += matmul_rows(h_prev, wh[: 2 * hidden].T)
+        sigmoid_inplace(gates)
+        update = pre[:, :hidden]
+        candidate = pre[:, 2 * hidden :]
+        recurrent = matmul_rows(h_prev, wh[2 * hidden :].T)
+        recurrent *= pre[:, hidden : 2 * hidden]  # r ⊙ (U_n h)
+        candidate += recurrent
+        np.tanh(candidate, out=candidate)
+        h = update * h_prev
+        np.subtract(1.0, update, out=update)
+        update *= candidate  # (1 − z) ⊙ n
+        h += update
         return h, h
 
     def backward_step(

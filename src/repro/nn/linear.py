@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import matmul_rows
 from repro.nn.initializers import glorot_uniform, zeros
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike
@@ -34,8 +33,6 @@ class Linear(Module):
             raise ValueError(
                 f"input last dim {x.shape[-1]} != in_dim {self.in_dim}"
             )
-        if x.ndim == 2:
-            return matmul_rows(x, self.weight.value.T) + self.bias.value
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

@@ -117,33 +117,33 @@ class LSTMCell(Module):
         of the inputs (to floating-point round-off: the batch runs one
         ``(B, 4h)`` matmul per term where :meth:`step` runs B mat-vecs).
         Inference-only — no cache is produced and no gradients flow; the
-        training path stays on :meth:`step`.
+        training path stays on :meth:`step`.  The gate math runs in
+        place in one pre-activation buffer; the inputs are never
+        written, and the outputs are new arrays.
         """
         hidden = self.hidden_dim
-        x = np.asarray(x, dtype=np.float64)
-        h_prev = np.asarray(h_prev, dtype=np.float64)
-        c_prev = np.asarray(c_prev, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"x must be (B, {self.input_dim}), got {x.shape}")
-        if h_prev.shape != (x.shape[0], hidden) or c_prev.shape != h_prev.shape:
+        if x.shape[1:] != (self.input_dim,) or h_prev.shape != (
+            x.shape[0],
+            hidden,
+        ) or c_prev.shape != h_prev.shape:
             raise ValueError(
-                f"states must be ({x.shape[0]}, {hidden}), got "
-                f"h={h_prev.shape}, c={c_prev.shape}"
+                f"need x (B, {self.input_dim}) and states (B, {hidden}), got "
+                f"x={x.shape}, h={h_prev.shape}, c={c_prev.shape}"
             )
-        pre = (
-            matmul_rows(x, self.wx.value.T)
-            + matmul_rows(h_prev, self.wh.value.T)
-            + self.bias.value
-        )
+        # One (B, 4h) pre-activation buffer; the gate math runs in it.
+        pre = matmul_rows(x, self.wx.value.T)
+        pre += matmul_rows(h_prev, self.wh.value.T)
+        pre += self.bias.value
         # The input/forget/output gates are one contiguous block: one
         # sigmoid call over it is elementwise identical to three.
-        gates = sigmoid_inplace(pre[:, : 3 * hidden])
-        gate_i = gates[:, :hidden]
-        gate_f = gates[:, hidden : 2 * hidden]
-        gate_o = gates[:, 2 * hidden :]
-        candidate = tanh(pre[:, 3 * hidden :])
-        cell = gate_f * c_prev + gate_i * candidate
-        hidden_state = gate_o * tanh(cell)
+        sigmoid_inplace(pre[:, : 3 * hidden])
+        gated = pre[:, 3 * hidden :]
+        np.tanh(gated, out=gated)
+        gated *= pre[:, :hidden]  # i ⊙ g
+        cell = pre[:, hidden : 2 * hidden] * c_prev
+        cell += gated
+        hidden_state = np.tanh(cell)
+        hidden_state *= pre[:, 2 * hidden : 3 * hidden]
         return hidden_state, cell
 
     def backward_step(

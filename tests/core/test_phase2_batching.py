@@ -21,24 +21,30 @@ ships with a proof against the per-candidate oracle
   (no ``<pad>`` steps), whatever order the rows arrive in;
 * step 0 is per concept: the engine computes each concept's decoder
   start once, its step-0 log-probs match the oracle's, and a decode
-  runs the recurrent step only for the query's own words.
+  runs the recurrent step only for the query's own words — and never
+  writes the start table;
+* a call checks its word ids and empty queries once, before any step;
+* a model whose logits pass Eq. 9's shift-free limit takes the shifted
+  normaliser and still matches the oracle.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.comaid import ComAid
+from repro.core.comaid import ComAid, ConceptMemory
 from repro.core.config import ComAidConfig, LinkerConfig, ServingConfig
 from repro.core.linker import NeuralConceptLinker
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.engine.compile import compile_artifact, load_artifact
 from repro.engine.concept_engine import ConceptEngine
 from repro.nn.functional import (
-    batched_target_log_probs,
+    SHIFT_FREE_LIMIT,
+    log_normalizers,
     log_softmax,
     sigmoid,
     sigmoid_inplace,
@@ -166,6 +172,45 @@ class TestScoreBatchEquivalence:
         with pytest.raises(DataError):
             model.score_batch(queries, bad)
 
+    def test_queries_checked_once_per_call(self, monkeypatch):
+        # Ids and empty queries are checked when the call builds its
+        # word matrix, before any step runs.
+        model = _model()
+        rng = np.random.default_rng(7)
+        queries, candidates = _random_candidates(model, rng, count=3)
+        memory = ConceptMemory.stack(
+            [encoding for encoding, _ in candidates],
+            [model._structure_memory(ancestors) for _, ancestors in candidates],
+        )
+        rows = np.arange(3)
+        starts = model.decoder_start(memory, rows)
+        cell = model.decoder.cell
+        step_batch = cell.step_batch
+        steps = []
+
+        def spy(x, h, c):
+            steps.append(x.shape[0])
+            return step_batch(x, h, c)
+
+        monkeypatch.setattr(cell, "step_batch", spy)
+        bound = model.logit_bound()
+        for bad in (len(model.vocab), -1):
+            # The out-of-range id sits in the last step of one row.
+            broken = [queries[0], list(queries[1]) + [bad], queries[2]]
+            with pytest.raises(IndexError):
+                model.score_from_starts(broken, starts, memory, rows, bound)
+        with pytest.raises(DataError):
+            model.score_from_starts(
+                [queries[0], [], queries[2]], starts, memory, rows, bound
+            )
+        assert steps == [], "a bad query was found after decoding began"
+        np.testing.assert_allclose(
+            model.score_from_starts(queries, starts, memory, rows, bound),
+            oracle.score_rows(model, queries, candidates),
+            rtol=0,
+            atol=TOLERANCE,
+        )
+
     @pytest.mark.property
     @settings(max_examples=25, deadline=None)
     @given(
@@ -276,7 +321,10 @@ class TestShrinkingDecode:
         logits[1, 3] = -scale
         targets = np.array([0, 3, 39, 7, 12, 20])
         expected = log_softmax(logits)[np.arange(6), targets]
-        got = batched_target_log_probs(logits.copy(), targets)
+        # The decode step's read-out: the target logit, then the
+        # normaliser in place (shift-free at ±1 and ±50, shifted at ±700).
+        work = logits.copy()
+        got = work[np.arange(6), targets] - log_normalizers(work, scale)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -424,7 +472,10 @@ class TestHeterogeneousCandidates:
         assert abs(
             by_cid["P00"]
             - oracle.score_candidate(
-                linker, "P00", ("severe", "pain", "syndrome")
+                linker,
+                "P00",
+                ("severe", "pain", "syndrome"),
+                oracle.scoring_vocabulary(linker),
             )
         ) <= TOLERANCE
 
@@ -580,6 +631,21 @@ class TestDecoderStart:
                 atol=TOLERANCE,
             )
 
+    def test_decode_never_writes_the_start_table(self, tmp_path):
+        ontology, kb, vocab = _heterogeneous_parts()
+        model = ComAid(ComAidConfig(dim=8, beta=2), vocab, rng=29)
+        engine = _compiled_engine(model, ontology, kb, tmp_path / "artifact")
+        cids = list(engine.artifact.cids) * 2
+        rng = np.random.default_rng(61)
+        queries = [_vocab_query(model, rng, int(rng.integers(1, 6))) for _ in cids]
+        first = engine.score_batch(queries, cids)  # fills the start table
+        filled = engine._starts_filled
+        table = engine._starts[:filled].tobytes()
+        again = engine.score_batch(queries, cids)
+        assert engine._starts_filled == filled
+        assert engine._starts[:filled].tobytes() == table
+        np.testing.assert_array_equal(again, first)
+
     def test_swap_scores_with_the_new_model(self, tmp_path):
         ontology, kb, vocab = _heterogeneous_parts()
         config = ComAidConfig(dim=8, beta=2)
@@ -725,3 +791,55 @@ class TestBatchProbeSite:
             results, oracle.link_batch(linker, queries)
         ):
             _assert_links_equivalent(served, reference)
+
+
+class TestShiftedNormaliser:
+    """Eq. 9 past the shift-free limit.  The test models' logits stay
+    far inside it, so this model's output layer is scaled until its
+    logit bound is above the limit and its decode logits pass ±709.78,
+    where an unshifted ``exp`` overflows: the decode must take the
+    shifted branch and still match the oracle, warning-free."""
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_scores_past_the_limit_match_oracle(
+        self, tmp_path, monkeypatch, cell
+    ):
+        ontology, kb, vocab = _heterogeneous_parts()
+        model = ComAid(ComAidConfig(dim=8, beta=2, cell=cell), vocab, rng=67)
+        runtime = NeuralConceptLinker(model, ontology, LinkerConfig(), kb=kb)
+        cids = list(runtime.candidates.indexed_cids) * 2
+        rng = np.random.default_rng(71)
+        queries = [_vocab_query(model, rng, int(rng.integers(1, 5))) for _ in cids]
+        candidates = _runtime_candidates(runtime, cids)
+        seen = []
+
+        def spy(logits, bound=math.inf):
+            seen.append((bound, float(np.abs(logits).max())))
+            return log_normalizers(logits, bound)
+
+        monkeypatch.setattr("repro.core.comaid.log_normalizers", spy)
+        # The output bias is zero, so the logits scale with W_s: put
+        # the largest at 800.
+        model.score_batch(queries, candidates)
+        model.output.weight.value *= 800.0 / max(large for _, large in seen)
+        assert not model.output.bias.value.any()
+        assert model.logit_bound() >= SHIFT_FREE_LIMIT
+        engine = _compiled_engine(model, ontology, kb, tmp_path / "artifact")
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scores in (
+                engine.score_batch(queries, cids),
+                model.score_batch(queries, candidates),
+            ):
+                np.testing.assert_allclose(
+                    scores,
+                    oracle.score_rows(model, queries, candidates),
+                    rtol=0,
+                    atol=TOLERANCE,
+                )
+        # Step 0's log Z_0 is always shifted (bound ∞); the decode steps
+        # got the finite bound, and their logits passed e^709.78 too.
+        steps = [large for bound, large in seen if bound < math.inf]
+        assert all(bound >= SHIFT_FREE_LIMIT for bound, _ in seen)
+        assert steps and max(steps) > 710.0

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn.functional import (
+    SHIFT_FREE_LIMIT,
+    log_normalizers,
     log_softmax,
+    logit_bound,
     one_hot,
     sigmoid,
     sigmoid_grad,
@@ -94,6 +97,49 @@ class TestCrossEntropy:
     def test_tanh_grad(self):
         y = np.tanh(np.array([0.7]))
         assert tanh_grad(y)[0] == pytest.approx(1 - y[0] ** 2)
+
+
+class TestLogNormalizers:
+    """Eq. 9's normaliser: shift-free below the logit bound's limit."""
+
+    @pytest.mark.parametrize("bound", [1.0, 50.0, 599.0])
+    def test_shift_free_matches_shifted(self, bound):
+        rng = np.random.default_rng(int(bound))
+        logits = rng.uniform(-bound, bound, size=(7, 300))
+        logits[0, :] = bound  # a row of ties at the bound
+        logits[1, :] = -bound
+        logits[2, 5] = bound
+        assert bound < SHIFT_FREE_LIMIT
+        shift_free = log_normalizers(logits.copy(), bound)
+        shifted = log_normalizers(logits.copy())
+        np.testing.assert_allclose(shift_free, shifted, rtol=0, atol=1e-12)
+        expected = logits[:, 0] - log_softmax(logits)[:, 0]
+        np.testing.assert_allclose(shift_free, expected, rtol=0, atol=1e-12)
+
+    def test_shifted_branch_at_the_limit(self):
+        # Logits past e^709.78 overflow unshifted: a bound at or above
+        # the limit must take the shifted branch.
+        logits = np.array([[750.0, 740.0, -750.0], [-760.0, -745.0, -770.0]])
+        expected = logits[:, 0] - log_softmax(logits)[:, 0]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = log_normalizers(logits.copy(), SHIFT_FREE_LIMIT)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_logit_bound_is_the_largest_tanh_logit(self):
+        rng = np.random.default_rng(3)
+        weight = rng.standard_normal((40, 6))
+        bias = rng.standard_normal(40)
+        bound = logit_bound(weight, bias)
+        assert bound == np.max(np.abs(weight).sum(axis=1) + np.abs(bias))
+        # No input in [-1, 1]^d gets a logit past it ...
+        inputs = np.tanh(3.0 * rng.standard_normal((500, 6)))
+        assert np.abs(inputs @ weight.T + bias).max() <= bound
+        # ... and the corner that matches the widest row's signs hits it.
+        widest = int(np.argmax(np.abs(weight).sum(axis=1) + np.abs(bias)))
+        corner = np.sign(weight[widest]) * (1.0 if bias[widest] >= 0 else -1.0)
+        assert abs(weight[widest] @ corner + bias[widest]) == pytest.approx(
+            bound, rel=1e-12
+        )
 
 
 class TestInitializers:

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 #: surface grows compatibly, the major when anything is removed or
 #: changes shape.  ``tools/check_api.py`` pins the exported surface to
 #: this value.
-API_VERSION = "1.8"
+API_VERSION = "1.9"
 
 #: Lazily resolved re-exports: public name → (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {
@@ -251,7 +251,7 @@ def link_batch(
     k: Optional[int] = None,
     tenant: Optional[str] = None,
 ) -> List["Any"]:
-    """Link several queries, amortising concept encodings across them.
+    """Link several queries with one fused Phase-II decode.
 
     ``tenant`` routes the batch through a multi-tenant service from
     :func:`load_tenants` (see :func:`link`).

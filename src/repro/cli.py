@@ -22,7 +22,7 @@ Ten commands cover the deployment lifecycle:
 * ``evaluate`` — load a saved pipeline and score it against a
   generated dataset's ground-truth queries;
 * ``serve`` — load a saved pipeline and run the long-lived HTTP
-  linking service (request fusion, bounded caches, metrics, traces);
+  linking service (request fusion, metrics, traces);
 * ``runs`` — list training-run telemetry directories, or diff two
   runs epoch by epoch;
 * ``verify-pipeline`` — check a saved pipeline's (and/or a compiled
@@ -71,6 +71,7 @@ from repro.core.config import (
 )
 from repro.core.persistence import (
     load_pipeline,
+    load_pipeline_parts,
     save_pipeline,
     verify_pipeline,
 )
@@ -89,7 +90,7 @@ from repro.utils.errors import ReproError
 #: Registered into the parser *and* consulted when layering flags over
 #: the file, so the two can never drift: a flag still sitting at its
 #: default defers to the config file.
-_LINKER_FLAG_DEFAULTS = {"k": 20, "cache_size": 4096}
+_LINKER_FLAG_DEFAULTS = {"k": 20}
 _SERVING_FLAG_DEFAULTS = {
     "host": "127.0.0.1",
     "port": 8080,
@@ -107,7 +108,6 @@ _SERVING_FLAG_DEFAULTS = {
 
 #: argparse dest → config dataclass field, where the two differ.
 _FLAG_TO_FIELD = {
-    "cache_size": "encoding_cache_size",
     "request_timeout": "request_timeout_s",
     "trace_sample": "trace_sample_rate",
     "slo_window": "slo_window_s",
@@ -330,7 +330,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     # Imported here: only this command needs the engine's compiler.
     from repro.engine.compile import compile_artifact
 
-    model, ontology, kb, _, _ = load_pipeline(args.model)
+    model, ontology, kb, _, _ = load_pipeline_parts(args.model)
     target = compile_artifact(
         args.out,
         model,
@@ -921,11 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--k", type=int, default=_LINKER_FLAG_DEFAULTS["k"])
     serve.add_argument(
-        "--cache-size", type=int,
-        default=_LINKER_FLAG_DEFAULTS["cache_size"],
-        help="encoding LRU capacity (0 = unbounded)",
-    )
-    serve.add_argument(
         "--artifact-dir", default=None,
         help="serve from a compiled concept artifact (`repro compile`)",
     )
@@ -954,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-warm", action="store_true",
-        help="skip warm-up; readiness flips immediately, caches fill lazily",
+        help="skip warm-up; readiness flips immediately",
     )
     serve.add_argument(
         "--trace-sample", type=float,

@@ -7,10 +7,13 @@ top-``k`` cosine-similar concepts.  The matcher also exposes the
 ontology word vocabulary Ω that query rewriting replaces OOV words
 into.
 
-The concept engine (:mod:`repro.engine.concept_engine`) builds its
-generator from a compiled artifact's frozen documents
-(:meth:`CandidateGenerator.from_documents`), and an engine-backed
-linker adopts that generator as its own.
+Retrieval runs on one array-backed
+:class:`~repro.retrieval.inverted.InvertedIndex`, whose hits are
+bit-identical to the reference scan ``TfIdfIndex.search``.  The concept
+engine (:mod:`repro.engine.concept_engine`) builds its generator from
+an artifact's frozen documents, reusing the artifact's precompiled
+index when it has one (:meth:`CandidateGenerator.from_documents`), and
+the linker adopts that generator as its own.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.ontology.ontology import Ontology
-from repro.text.tfidf import TfIdfIndex
+from repro.retrieval.inverted import InvertedIndex
 from repro.text.tokenize import tokenize
 from repro.utils.errors import ConfigurationError
 
@@ -70,43 +73,53 @@ class CandidateGenerator:
         documents = concept_documents(
             ontology, kb=kb, index_aliases=index_aliases, restrict_to=restrict_to
         )
-        self._finish_init(ontology, documents)
+        self._finish_init(ontology, documents, None)
 
     @classmethod
     def from_documents(
         cls,
         ontology: Ontology,
         documents: Sequence[Tuple[str, Sequence[str]]],
+        index: Optional[InvertedIndex] = None,
     ) -> "CandidateGenerator":
         """Build a generator over pre-frozen index documents.
 
-        The concept engine constructs its generator from the compiled
-        artifact's frozen documents (not from live ontology + KB
-        state), so index contents can never drift from the precomputed
-        encodings they were compiled with.
+        The concept engine constructs its generator from the artifact's
+        frozen documents (not from live ontology + KB state), so index
+        contents can never drift from the precomputed encodings they
+        were compiled with.  ``index`` is the artifact's precompiled
+        inverted index over exactly these documents; without one, it is
+        built here.
         """
         generator = cls.__new__(cls)
-        generator._finish_init(ontology, list(documents))
+        generator._finish_init(ontology, list(documents), index)
         return generator
 
     def _finish_init(
         self,
         ontology: Ontology,
         documents: List[Tuple[str, Sequence[str]]],
+        index: Optional[InvertedIndex],
     ) -> None:
         if not documents:
             raise ConfigurationError("no fine-grained concepts to index")
-        self._ontology = ontology
         self._omega: Set[str] = set()
         for cid, _ in documents:
             self._omega.update(ontology.get(cid).words)
-        self._index = TfIdfIndex().fit(documents)
+        if index is None:
+            index = InvertedIndex.build(documents)
+        self._index = index
         self._leaf_cids = tuple(cid for cid, _ in documents)
 
     @property
     def omega(self) -> Set[str]:
         """The ontology description vocabulary Ω (rewrite targets)."""
         return set(self._omega)
+
+    @property
+    def index(self) -> InvertedIndex:
+        """The exact Phase-I inverted index."""
+        return self._index
 
     @property
     def indexed_cids(self) -> Tuple[str, ...]:

@@ -542,7 +542,12 @@ class ComAid(Module):
         query_ids: Sequence[Sequence[int]],
         candidates: Sequence[Tuple[ConceptEncoding, Sequence[ConceptEncoding]]],
     ) -> np.ndarray:
-        """Batched :meth:`score_with_encodings` — the Phase-II hot path.
+        """Batched :meth:`score_with_encodings` over encoding pairs.
+
+        The linker scores through
+        :meth:`repro.engine.concept_engine.ConceptEngine.score_batch`,
+        which gathers the same rows from a compiled slab; this form is
+        the reference the equivalence tests compare it against.
 
         ``candidates`` holds one ``(concept, ancestors)`` encoding pair
         per re-ranking candidate; ``query_ids`` gives each candidate its
@@ -562,9 +567,9 @@ class ComAid(Module):
         sequential :meth:`_decode`.
 
         A candidate's ancestors may be given either as the usual
-        sequence of :class:`ConceptEncoding` (runtime encoding path) or
-        as a precomputed ``(beta, dim)`` structure-memory matrix — the
-        exact array :meth:`_structure_memory` would build.
+        sequence of :class:`ConceptEncoding` or as a precomputed
+        ``(beta, dim)`` structure-memory matrix — the exact array
+        :meth:`_structure_memory` would build.
         """
         if len(query_ids) != len(candidates):
             raise DataError(

@@ -229,12 +229,6 @@ class LinkerConfig:
         Whether Phase I indexes concept aliases alongside canonical
         descriptions (richer recall; the paper's keyword matcher is
         built over concept descriptions).
-    encoding_cache_size:
-        Capacity of the bounded LRU caches over concept encodings and
-        ancestor-path encodings (Section 5's dominant-cost forward
-        passes).  0 means unbounded — the pre-serving behaviour, fine
-        for one-shot CLI runs; a long-lived service should bound it to
-        its memory budget.
     phase2_budget_s:
         Per-query wall-clock budget for Phase II re-ranking (ED).  When
         scoring overruns it, the query falls back to Phase I keyword
@@ -250,10 +244,10 @@ class LinkerConfig:
     artifact_dir:
         Directory of a compiled concept artifact (``repro compile``).
         When set, the linker loads the artifact (fingerprint-checked
-        against the model) and serves Phase I/II entirely from
+        against the model); unset, it builds the same artifact in
+        memory at construction.  Either way it serves Phase I/II from
         precomputed state via the concept engine
-        (:mod:`repro.engine.concept_engine`); unset keeps the
-        runtime-encoding path.
+        (:mod:`repro.engine.concept_engine`).
     retrieval:
         Phase-I retrieval strategy (:class:`RetrievalConfig`).  The
         default ``mode="exact"`` preserves the pre-subsystem scan
@@ -274,7 +268,6 @@ class LinkerConfig:
     rewrite_min_similarity: float = 0.6
     score_omega_only: bool = True
     index_aliases: bool = True
-    encoding_cache_size: int = 4096
     phase2_budget_s: float = 0.0
     degrade_on_error: bool = True
     artifact_dir: Optional[str] = None
@@ -318,11 +311,6 @@ class LinkerConfig:
                 "rewrite_min_similarity must be a cosine in [-1, 1], got "
                 f"{self.rewrite_min_similarity}"
             )
-        if self.encoding_cache_size < 0:
-            raise ConfigurationError(
-                "encoding_cache_size must be >= 0 (0 = unbounded), got "
-                f"{self.encoding_cache_size}"
-            )
         if self.phase2_budget_s < 0:
             raise ConfigurationError(
                 "phase2_budget_s must be >= 0 (0 = unlimited), got "
@@ -348,8 +336,8 @@ class ServingConfig:
         End-to-end budget for one ``POST /link`` request; exceeding it
         returns HTTP 504.
     warm_on_start:
-        Pre-encode the indexed concepts before readiness flips
-        (``GET /readyz`` stays 503 during warm-up).
+        Touch every indexed concept's precompiled state before
+        readiness flips (``GET /readyz`` stays 503 during warm-up).
     warm_retries:
         How many times a failed warm-up is retried (with exponential
         backoff) before the service gives up and serves cold.  0
@@ -605,7 +593,7 @@ class TenantConfig:
     A tenant is an independently served ontology: its own pipeline (or
     the deployment's base pipeline), optionally its own compiled
     artifact, and its own serving knobs — retrieval mode, candidate
-    set size, encoding-cache budget, and request quota.  Declared under
+    set size and request quota.  Declared under
     the ``tenants`` section of :class:`RuntimeConfig` and served by
     :class:`repro.tenancy.TenantRegistry`.
 
@@ -618,7 +606,7 @@ class TenantConfig:
         share one model but mount different compiled artifacts.
     artifact_dir:
         Compiled concept artifact this tenant serves from (``repro
-        compile``); None keeps the runtime-encoding path.
+        compile``); None builds it in memory when the tenant loads.
     retrieval_mode:
         Phase-I retrieval strategy for this tenant (see
         :class:`RetrievalConfig`; non-exact modes require
@@ -626,25 +614,19 @@ class TenantConfig:
     k:
         Per-tenant candidate set size; 0 inherits the deployment's
         ``linker.k``.
-    cache_budget:
-        Capacity of this tenant's encoding/ancestor LRU caches
-        (0 = unbounded) — the per-tenant partition of the memory the
-        single-tenant ``encoding_cache_size`` governs globally.
     quota_per_minute:
         Rolling-window request quota; requests beyond it answer HTTP
         429 ``quota_exceeded``.  0 disables the quota.
     warm_on_load:
-        Pre-encode the tenant's concepts when it is (lazily) loaded;
-        the default serves cold and fills caches on demand, keeping
-        first-touch latency bounded by one warm-up, not blocking the
-        whole process at start.
+        Run the service warm-up (touching every concept's precompiled
+        state) when the tenant is (lazily) loaded; the default serves
+        at once.
     """
 
     pipeline: str = ""
     artifact_dir: Optional[str] = None
     retrieval_mode: str = "exact"
     k: int = 0
-    cache_budget: int = 4096
     quota_per_minute: int = 0
     warm_on_load: bool = False
 
@@ -664,11 +646,6 @@ class TenantConfig:
             raise ConfigurationError(
                 f"tenant k must be >= 0 (0 = inherit linker.k), got {self.k}"
             )
-        if self.cache_budget < 0:
-            raise ConfigurationError(
-                f"tenant cache_budget must be >= 0 (0 = unbounded), got "
-                f"{self.cache_budget}"
-            )
         if self.quota_per_minute < 0:
             raise ConfigurationError(
                 "tenant quota_per_minute must be >= 0 (0 = no quota), got "
@@ -681,11 +658,10 @@ class TenantConfig:
         The deployment-wide linker section supplies everything a tenant
         does not own (rewriting, Phase-II batching, budgets); the
         tenant overrides the partitioned knobs: artifact, retrieval
-        mode, cache budget, and (optionally) k.
+        mode, and (optionally) k.
         """
         overrides: Dict[str, Any] = {
             "artifact_dir": self.artifact_dir,
-            "encoding_cache_size": self.cache_budget,
             "retrieval": dataclasses.replace(
                 base.retrieval, mode=self.retrieval_mode
             ),

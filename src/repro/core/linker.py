@@ -9,37 +9,33 @@ Phase II — re-rank with COM-AID: for each candidate, compute
 removing the words the query shares with the candidate's canonical
 description; rank by score (RT).  Every candidate of every query in a
 batch — a single query is a batch of one — is scored by one lock-step
-decode (:meth:`repro.core.comaid.ComAid.score_batch`) instead of one
-decode per candidate: identical rankings, ~an order less Python/matvec
-overhead on the Figure 11 "ED" bottleneck.
+decode (:meth:`repro.engine.concept_engine.ConceptEngine.score_batch`)
+instead of one decode per candidate: identical rankings, ~an order
+less Python/matvec overhead on the Figure 11 "ED" bottleneck.
 
 Timing of the four parts (OR/CR/ED/RT) is recorded per query, which is
-exactly the decomposition the paper's Figure 11 reports.  Concept
-encodings are cached in thread-safe bounded LRUs
-(:class:`repro.serving.cache.LRUCache`, capacity from
-``LinkerConfig.encoding_cache_size``), mirroring the paper's
-observation that the encode-decode forward passes dominate online
-cost; :meth:`NeuralConceptLinker.link_batch` additionally amortises
-those encodings across a batch of queries for the serving layer.
+exactly the decomposition the paper's Figure 11 reports.  Every linker
+links through one :class:`repro.engine.concept_engine.ConceptEngine`:
+the concept encodings are computed once, by a compiled artifact loaded
+from ``LinkerConfig.artifact_dir`` or built in memory at construction,
+so the concept and ancestor encoders never run online.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.core.candidates import CandidateGenerator
-from repro.core.comaid import ComAid, ConceptEncoding
+from repro.core.comaid import ComAid
 from repro.core.config import LinkerConfig
 from repro.core.rewriter import QueryRewriter, Rewrite
 from repro.embeddings.similarity import WordVectors
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.obs import trace
 from repro.ontology.ontology import Ontology
-from repro.ontology.paths import structural_context
-from repro.serving.cache import CacheStats, LRUCache
 from repro.text.tokenize import tokenize
 from repro.utils.errors import ConfigurationError
 from repro.utils.faults import probe
@@ -132,13 +128,13 @@ class NeuralConceptLinker:
         cid must exist in the ontology.
 
         ``engine`` injects a pre-built
-        :class:`repro.engine.concept_engine.ConceptEngine`; without one,
-        ``config.artifact_dir`` (if set) loads the compiled artifact —
-        fingerprint-checked against ``model`` — and builds an engine
-        over it.  With an engine active, Phase I runs on the engine's
-        index (adopted as ``self.candidates``, so one index is fitted)
-        and Phase II scores from the precomputed encoding slab;
-        rankings are identical to the runtime-encoding path.
+        :class:`repro.engine.concept_engine.ConceptEngine`.  Without
+        one, ``config.artifact_dir`` (if set) loads the compiled
+        artifact — fingerprint-checked against ``model`` — and
+        otherwise the artifact is built in memory over ``kb`` and
+        ``restrict_to`` (:meth:`_build_engine`).  Phase I runs on the
+        engine's index (adopted as ``self.candidates``, so one index is
+        held) and Phase II scores from its precomputed encodings.
         """
         self.model = model
         self.ontology = ontology
@@ -148,33 +144,9 @@ class NeuralConceptLinker:
         self._kb = kb
         self._word_vectors = word_vectors
         self._restrict_to = restrict_to
+        if engine is None:
+            engine = self._build_engine(model, self.config)
         self._engine = engine
-        if self._engine is None and self.config.artifact_dir is not None:
-            if restrict_to is not None:
-                raise ConfigurationError(
-                    "restrict_to cannot be combined with artifact_dir: the "
-                    "compiled artifact fixes the indexed concept set"
-                )
-            # Engine imports stay function-local: repro.engine.compile
-            # imports the persistence layer, which imports this module.
-            from repro.engine.compile import load_artifact
-            from repro.engine.concept_engine import ConceptEngine
-
-            artifact = load_artifact(
-                self.config.artifact_dir,
-                model=model,
-                mmap=self.config.mmap_artifact,
-            )
-            if artifact.index_aliases != self.config.index_aliases:
-                raise ConfigurationError(
-                    f"artifact was compiled with index_aliases="
-                    f"{artifact.index_aliases} but the linker is configured "
-                    f"with index_aliases={self.config.index_aliases}; "
-                    "recompile or align the config"
-                )
-            self._engine = ConceptEngine(
-                model, ontology, artifact, retrieval=self.config.retrieval
-            )
         self._log_priors: Optional[Dict[str, float]] = None
         if priors is not None:
             if not priors:
@@ -199,42 +171,32 @@ class NeuralConceptLinker:
     # -- engine --------------------------------------------------------------
 
     @property
-    def engine(self) -> Optional[object]:
-        """The active concept engine, or None (runtime-encoding path)."""
+    def engine(self) -> Any:
+        """The concept engine every link goes through."""
         return self._engine
 
     @property
     def model_fingerprint(self) -> str:
-        """SHA-256 identity of the weights currently serving.
-
-        From the compiled artifact when an engine is active (free),
-        otherwise computed over the live parameters.
-        """
-        if self._engine is not None:
-            value = self._engine.artifact.fingerprint.get("params_sha256")
-            if value:
-                return str(value)
-        # Function-local: repro.engine.compile imports the persistence
-        # layer, which imports this module.
-        from repro.engine.compile import model_fingerprint
-
-        return str(model_fingerprint(self.model)["params_sha256"])
+        """SHA-256 identity of the weights currently serving (from the
+        engine's artifact, so free)."""
+        return str(self._engine.fingerprint)
 
     def swap_engine(
         self,
         model: ComAid,
         engine: Optional[object],
         artifact_dir: Optional[str] = None,
-    ) -> Tuple[ComAid, Optional[object]]:
+    ) -> Tuple[ComAid, Any]:
         """Blue/green flip: adopt new weights and their compiled engine.
 
-        Replaces the model and engine pointers and rebuilds everything
-        derived from them — Phase-I candidates (the new engine's index
-        over its artifact's frozen documents), the OOV rewriter (so the
-        old Ω's Eq. 13 table is dropped), the scoring vocabulary — then *replaces* (not clears) the encoding
-        caches: an in-flight ``get_or_create`` computed against the old
-        model can only land in the orphaned cache object, so a stale
-        encoding can never score under the new fingerprint.  Returns the previous
+        ``engine`` ``None`` builds one for ``model`` from the config —
+        loading ``artifact_dir`` (or the configured one), else compiling
+        in memory — which is how an in-place retrain (Figure 10's
+        feedback loop) takes effect.  Replaces the model and engine
+        pointers and rebuilds everything derived from them — Phase-I
+        candidates (the new engine's index over its artifact's frozen
+        documents), the OOV rewriter (so the old Ω's Eq. 13 table is
+        dropped) and the scoring vocabulary.  Returns the previous
         ``(model, engine)`` so the caller can roll back by swapping
         them straight back in.
 
@@ -244,49 +206,80 @@ class NeuralConceptLinker:
         so in-flight requests complete on the old engine and queued
         ones start on the new.
         """
-        if engine is not None:
+        config = self.config
+        if artifact_dir is not None:
+            config = dataclasses.replace(
+                config, artifact_dir=str(artifact_dir)
+            )
+        if engine is None:
+            engine = self._build_engine(model, config)
+        else:
             # Never flip to an engine whose artifact was compiled from
             # other weights — the same stale-artifact guard load-time
             # enforcement gives, re-checked at the swap boundary.
             engine.artifact.check_model(model)
-            if engine.artifact.index_aliases != self.config.index_aliases:
+            if engine.artifact.index_aliases != config.index_aliases:
                 raise ConfigurationError(
                     "candidate artifact was compiled with index_aliases="
                     f"{engine.artifact.index_aliases} but the linker is "
-                    f"configured with {self.config.index_aliases}"
+                    f"configured with {config.index_aliases}"
                 )
         previous = (self.model, self._engine)
         self.model = model
         self._engine = engine
+        self.config = config
         self._derive_from_engine()
-        if artifact_dir is not None:
-            import dataclasses
-
-            self.config = dataclasses.replace(
-                self.config, artifact_dir=str(artifact_dir)
-            )
         return previous
 
-    def _derive_from_engine(self) -> None:
-        """Build everything that follows from the active engine (or its
-        absence): Phase-I candidates (and so Ω), the OOV rewriter (and
-        so its Eq. 13 table), the scoring vocabulary, a fresh table of
-        description-word sets and fresh encoding caches.  Construction
-        and :meth:`swap_engine` both call this, so a swap rebuilds them
-        in exactly one place."""
-        if self._engine is not None:
-            # The engine's generator indexes the artifact's *frozen*
-            # documents (not live ontology + KB state), so Ω and any
-            # direct `candidates` use can never drift from what the
-            # engine serves.
-            self.candidates = self._engine.candidates
-        else:
-            self.candidates = CandidateGenerator(
+    def _build_engine(self, model: ComAid, config: LinkerConfig) -> Any:
+        """The one place a linker's engine is made: over the artifact in
+        ``config.artifact_dir`` (fingerprint-checked against ``model``),
+        or else over one built in memory from the ontology, ``kb`` and
+        ``restrict_to``."""
+        # Engine imports stay function-local: repro.engine imports
+        # repro.core.candidates, whose package imports this module.
+        from repro.engine.compile import build_artifact, load_artifact
+        from repro.engine.concept_engine import ConceptEngine
+
+        if config.artifact_dir is None:
+            artifact = build_artifact(
+                model,
                 self.ontology,
                 kb=self._kb,
-                index_aliases=self.config.index_aliases,
+                index_aliases=config.index_aliases,
                 restrict_to=self._restrict_to,
+                index="sparse",
             )
+        else:
+            if self._restrict_to is not None:
+                raise ConfigurationError(
+                    "restrict_to cannot be combined with artifact_dir: the "
+                    "compiled artifact fixes the indexed concept set"
+                )
+            artifact = load_artifact(
+                config.artifact_dir, model=model, mmap=config.mmap_artifact
+            )
+            if artifact.index_aliases != config.index_aliases:
+                raise ConfigurationError(
+                    f"artifact was compiled with index_aliases="
+                    f"{artifact.index_aliases} but the linker is configured "
+                    f"with index_aliases={config.index_aliases}; "
+                    "recompile or align the config"
+                )
+        return ConceptEngine(
+            model, self.ontology, artifact, retrieval=config.retrieval
+        )
+
+    def _derive_from_engine(self) -> None:
+        """Build everything that follows from the active engine: Phase-I
+        candidates (and so Ω), the OOV rewriter (and so its Eq. 13
+        table), the scoring vocabulary and a fresh table of
+        description-word sets.  Construction and :meth:`swap_engine`
+        both call this, so a swap rebuilds them in exactly one place."""
+        # The engine's generator indexes the artifact's *frozen*
+        # documents (not live ontology + KB state), so Ω and any direct
+        # `candidates` use can never drift from what the engine serves.
+        self.candidates = self._engine.candidates
         omega = self.candidates.omega  # a fresh copy
         self.rewriter: Optional[QueryRewriter] = (
             QueryRewriter(
@@ -307,67 +300,19 @@ class NeuralConceptLinker:
                 omega.update(tokenize(alias))
         self._scoring_vocabulary = omega
         self._description_words_of: Dict[str, FrozenSet[str]] = {}
-        capacity = self.config.encoding_cache_size or None
-        self._encoding_cache: LRUCache[str, ConceptEncoding] = LRUCache(
-            capacity, name="encodings"
-        )
-        self._ancestor_cache: LRUCache[str, List[ConceptEncoding]] = LRUCache(
-            capacity, name="ancestors"
-        )
-
-    # -- encoding cache -----------------------------------------------------
-
-    def _concept_encoding(self, cid: str) -> ConceptEncoding:
-        if self._engine is not None and cid in self._engine:
-            return self._engine.encoding_of(cid)
-        return self._encoding_cache.get_or_create(
-            cid, lambda: self._encode(cid)
-        )
-
-    def _encode(self, cid: str) -> ConceptEncoding:
-        concept = self.ontology.get(cid)
-        ids = self.model.words_to_ids(list(concept.words))
-        return self.model.encode_concept(ids, keep_caches=False)
-
-    def _ancestor_encodings(self, cid: str) -> Union[List[ConceptEncoding], Any]:
-        """Ancestor encodings, or a precompiled structure-memory matrix.
-
-        With an engine active the return value is the artifact's
-        ``(beta, dim)`` matrix (or ``[]`` without structure attention) —
-        both scoring entry points accept either form.
-        """
-        if not self.model.config.use_structure_attention:
-            return []
-        if self._engine is not None and cid in self._engine:
-            return self._engine.structure_memory_of(cid)
-        return self._ancestor_cache.get_or_create(
-            cid, lambda: self._encode_ancestors(cid)
-        )
-
-    def _encode_ancestors(self, cid: str) -> List[ConceptEncoding]:
-        path = structural_context(self.ontology, cid, self.model.config.beta)
-        ancestors = []
-        for concept in path[1:]:
-            ids = self.model.words_to_ids(list(concept.words))
-            ancestors.append(self.model.encode_concept(ids, keep_caches=False))
-        return ancestors
-
-    def invalidate_cache(self) -> None:
-        """Drop cached encodings (call after the model is retrained)."""
-        self._encoding_cache.clear()
-        self._ancestor_cache.clear()
-
-    def cache_stats(self) -> Tuple[CacheStats, CacheStats]:
-        """Snapshots of the encoding and ancestor cache counters."""
-        return (self._encoding_cache.stats, self._ancestor_cache.stats)
 
     def warm_cache(self, cids: Optional[Sequence[str]] = None) -> int:
-        """Pre-encode concepts (all indexed leaves by default)."""
+        """Touch each concept's precompiled state (all indexed concepts
+        by default) — the serving layer's warm-up, which pages in a
+        memory-mapped slab.  Returns how many concepts were touched."""
         targets = cids if cids is not None else self.candidates.indexed_cids
+        artifact = self._engine.artifact
+        touched = 0
         for cid in targets:
-            self._concept_encoding(cid)
-            self._ancestor_encodings(cid)
-        return len(self._encoding_cache)
+            artifact.encoding_of(cid)
+            artifact.structure_memory_of(cid)
+            touched += 1
+        return touched
 
     # -- linking -----------------------------------------------------------------
 
@@ -452,10 +397,8 @@ class NeuralConceptLinker:
         ) as span:
             if not rewritten:
                 keyword_hits = []
-            elif self._engine is not None:
-                keyword_hits = self._engine.retrieve(rewritten, top_k)
             else:
-                keyword_hits = self.candidates.generate(rewritten, k=top_k)
+                keyword_hits = self._engine.retrieve(rewritten, top_k)
             span.set_tag("candidates", len(keyword_hits))
         return _PreparedQuery(
             query=query,
@@ -609,24 +552,10 @@ class NeuralConceptLinker:
                             phase="ED",
                             batch=len(pending_ids),
                             fused_queries=fused,
-                        ) as span:
-                            if self._engine is not None:
-                                # Engine candidates are all precompiled.
-                                span.set_tag("precompiled", True)
-                                scores = self._engine.score_batch(
-                                    pending_ids, cids
-                                )
-                            else:
-                                scores = self.model.score_batch(
-                                    pending_ids,
-                                    [
-                                        (
-                                            self._concept_encoding(cid),
-                                            self._ancestor_encodings(cid),
-                                        )
-                                        for cid in cids
-                                    ],
-                                )
+                        ):
+                            scores = self._engine.score_batch(
+                                pending_ids, cids
+                            )
                 except Exception as error:  # noqa: BLE001 - degraded-mode guard
                     if not config.degrade_on_error:
                         raise

@@ -320,21 +320,19 @@ def _load_artifact(path: Path, loader: Callable[[Path], Any]) -> Any:
         ) from exc
 
 
-def load_pipeline(
+def load_pipeline_parts(
     directory: PathLike,
-    linker_config: Optional[LinkerConfig] = None,
     verify: bool = False,
-) -> Tuple[ComAid, Ontology, Optional[KnowledgeBase], Optional[WordVectors], NeuralConceptLinker]:
-    """Load a deployment saved by :func:`save_pipeline`.
+) -> Tuple[
+    ComAid, Ontology, Optional[KnowledgeBase], Optional[WordVectors], Dict[str, Any]
+]:
+    """:func:`load_pipeline` without the linker.
 
-    Returns ``(model, ontology, kb, word_vectors, linker)``; ``kb`` and
-    ``word_vectors`` are ``None`` when absent from the directory.  Any
-    missing, truncated, or corrupt artifact raises a single
-    :class:`DataError` naming the file.  With ``verify=True`` every
-    artifact is additionally checksummed against ``manifest.json``
-    before anything is deserialised (what ``repro serve`` does at
-    startup).  The loaded linker carries the manifest's metadata as
-    ``linker.pipeline_metadata`` for the serving layer to report.
+    Returns ``(model, ontology, kb, word_vectors, metadata)``, loaded
+    and checked exactly as :func:`load_pipeline` does; ``metadata`` is
+    the manifest's.  For callers that need the pieces but no linker
+    (``repro compile``): building one would compile every concept in
+    memory only to discard it.
     """
     source = Path(directory)
     if not (source / "config.json").exists():
@@ -386,6 +384,28 @@ def load_pipeline(
                 )
 
         vectors = _load_artifact(source / "vectors.npz", _load_vectors)
+    return model, ontology, kb, vectors, (manifest or {}).get("metadata", {})
+
+
+def load_pipeline(
+    directory: PathLike,
+    linker_config: Optional[LinkerConfig] = None,
+    verify: bool = False,
+) -> Tuple[ComAid, Ontology, Optional[KnowledgeBase], Optional[WordVectors], NeuralConceptLinker]:
+    """Load a deployment saved by :func:`save_pipeline`.
+
+    Returns ``(model, ontology, kb, word_vectors, linker)``; ``kb`` and
+    ``word_vectors`` are ``None`` when absent from the directory.  Any
+    missing, truncated, or corrupt artifact raises a single
+    :class:`DataError` naming the file.  With ``verify=True`` every
+    artifact is additionally checksummed against ``manifest.json``
+    before anything is deserialised (what ``repro serve`` does at
+    startup).  The loaded linker carries the manifest's metadata as
+    ``linker.pipeline_metadata`` for the serving layer to report.
+    """
+    model, ontology, kb, vectors, metadata = load_pipeline_parts(
+        directory, verify=verify
+    )
     linker = NeuralConceptLinker(
         model,
         ontology,
@@ -393,5 +413,5 @@ def load_pipeline(
         kb=kb,
         word_vectors=vectors,
     )
-    linker.pipeline_metadata = (manifest or {}).get("metadata", {})
+    linker.pipeline_metadata = metadata
     return model, ontology, kb, vectors, linker

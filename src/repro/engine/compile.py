@@ -1,11 +1,14 @@
-"""Offline concept compilation: the ``repro compile`` step.
+"""Concept compilation: the ``repro compile`` step.
 
-A trained COM-AID pipeline still pays per-concept work online: Phase I
-scans a TF-IDF index built at process start, and Phase II runs the
-concept encoder (and the β ancestor encoders) for every candidate the
-LRU caches have not seen.  Compilation runs all of that exactly once,
-offline, and freezes the results into a versioned, checksummed
-**concept artifact**:
+Without precomputed state, Phase II would run the concept encoder (and
+the β ancestor encoders) for every candidate online.  Compilation runs
+all of that exactly once and freezes the results into a **concept
+artifact**: the per-concept encodings, the Phase-I index documents with
+their global TF-IDF statistics, a model fingerprint and, optionally,
+the sublinear retrieval indexes.  :func:`build_artifact` builds one in
+memory — what a linker without ``artifact_dir`` serves from — and
+:func:`compile_artifact` builds one and writes it, versioned and
+checksummed:
 
 .. code-block:: text
 
@@ -41,11 +44,10 @@ never be served against weights other than the ones it was compiled
 from (stale-artifact bugs surface as a :class:`DataError`, not as
 silently wrong rankings).
 
-Equivalence: the stored encodings are produced by the very same
-``encode_concept`` / ``structural_context`` calls the online linker
-would make, so a linker backed by the artifact returns bit-identical
-concept representations — the concept-engine equivalence suite rests
-on this.
+Equivalence: :func:`load_artifact` after :func:`compile_artifact`
+returns byte-identical arrays, documents, statistics and fingerprint to
+:func:`build_artifact` for the same model, so a linker serves the same
+rankings whether its artifact came from disk or from memory.
 """
 
 from __future__ import annotations
@@ -242,10 +244,11 @@ class ConceptArtifact:
     """An in-memory view of a compiled concept artifact.
 
     Arrays are the slabs exactly as stored; per-concept accessors
-    return zero-copy views into them.
+    return zero-copy views into them.  ``directory`` is ``None`` for an
+    artifact built in memory (:func:`build_artifact`).
     """
 
-    directory: Path
+    directory: Optional[Path]
     format: int
     fingerprint: Dict[str, Any]
     metadata: Dict[str, Any]
@@ -316,42 +319,40 @@ class ConceptArtifact:
         """Raise :class:`DataError` unless ``model`` matches the artifact."""
         current = model_fingerprint(model)
         if current["params_sha256"] != self.fingerprint.get("params_sha256"):
+            source = self.directory or "built in memory"
             raise DataError(
-                f"artifact {self.directory} was compiled from different "
+                f"artifact {source} was compiled from different "
                 "model weights (fingerprint mismatch); re-run `repro "
                 "compile` after retraining"
             )
 
 
-def compile_artifact(
-    directory: PathLike,
+def build_artifact(
     model: ComAid,
     ontology: Ontology,
     kb: Optional[KnowledgeBase] = None,
     index_aliases: bool = True,
     restrict_to: Optional[Sequence[str]] = None,
-    metadata: Optional[Dict[str, Any]] = None,
     index: str = "none",
     index_seed: int = 0,
-) -> Path:
-    """Encode every fine-grained concept once and freeze the results.
+) -> ConceptArtifact:
+    """Encode every fine-grained concept once, in memory.
 
     Runs the concept encoder over each indexed concept (the ``h_c``
     final states plus the per-word text-attention memories), builds the
     Def.-4.1 structure memories along each concept's β-ancestor path,
-    tokenises the Phase-I index documents, and writes everything —
-    with global TF-IDF statistics and a model fingerprint — into
-    ``directory`` crash-safely.  Returns the artifact path.
+    tokenises the Phase-I index documents and fits their global TF-IDF
+    statistics.  Returns the artifact :func:`load_artifact` would read
+    back after :func:`compile_artifact` — same arrays, documents,
+    statistics and fingerprint — with ``directory`` ``None``.  A linker
+    configured without ``artifact_dir`` serves from this.
 
-    ``index`` additionally compiles the sublinear retrieval indexes
-    (:mod:`repro.retrieval`) into the artifact: ``"sparse"`` freezes
-    the TF-IDF postings into the array-backed inverted index,
-    ``"dense"`` k-means-trains the IVF ANN index over the concept
-    encoder final states (seeded by ``index_seed``), ``"both"`` does
-    both, and ``"none"`` (the default) compiles no index — non-exact
-    retrieval modes then build/refuse at engine start.  Each
-    compiled index file carries its own sha256 in the header's
-    ``retrieval`` section, verified again at load.
+    ``index`` additionally builds the sublinear retrieval indexes
+    (:mod:`repro.retrieval`): ``"sparse"`` freezes the TF-IDF postings
+    into the array-backed inverted index, ``"dense"`` k-means-trains
+    the IVF ANN index over the concept encoder final states (seeded by
+    ``index_seed``), ``"both"`` does both, and ``"none"`` (the default)
+    builds no index.
     """
     if index not in INDEX_CHOICES:
         raise DataError(
@@ -363,7 +364,6 @@ def compile_artifact(
     if not documents:
         raise DataError("no fine-grained concepts to compile")
     fitted = TfIdfIndex().fit(documents)
-    stats = fitted.stats()
     beta = model.config.beta
     use_structure = model.config.use_structure_attention
     dim = model.config.dim
@@ -406,18 +406,93 @@ def compile_artifact(
     np.cumsum([block.shape[0] for block in state_blocks], out=state_offsets[1:])
     word_offsets = np.zeros(len(cids) + 1, dtype=np.int64)
     np.cumsum([len(block) for block in word_blocks], out=word_offsets[1:])
+    final_h = np.stack(final_h_rows)
 
-    header = {
+    retrieval_meta: Dict[str, Any] = {}
+    sparse_index: Optional[InvertedIndex] = None
+    dense_index: Optional[DenseIndex] = None
+    if index in ("sparse", "both"):
+        with trace.span("engine.compile.index", kind="sparse"):
+            sparse_index = InvertedIndex.from_tfidf(fitted)
+        retrieval_meta["sparse"] = {}
+    if index in ("dense", "both"):
+        with trace.span("engine.compile.index", kind="dense"):
+            dense_index = DenseIndex.train(final_h, seed=index_seed)
+        retrieval_meta["dense"] = {
+            "n_clusters": dense_index.n_clusters,
+            "seed": index_seed,
+        }
+    return ConceptArtifact(
+        directory=None,
+        format=ARTIFACT_FORMAT,
+        fingerprint=model_fingerprint(model),
+        metadata={},
+        cids=tuple(cids),
+        final_h=final_h,
+        final_c=np.stack(final_c_rows),
+        states=(
+            np.concatenate(state_blocks)
+            if state_blocks
+            else np.zeros((0, dim))
+        ),
+        state_offsets=state_offsets,
+        word_ids=np.asarray(
+            [wid for block in word_blocks for wid in block], dtype=np.int64
+        ),
+        word_offsets=word_offsets,
+        structure=np.stack(structure_blocks) if use_structure else None,
+        documents=documents,
+        corpus_stats=fitted.stats(),
+        index_aliases=bool(index_aliases),
+        sparse_index=sparse_index,
+        dense_index=dense_index,
+        retrieval_meta=retrieval_meta,
+    )
+
+
+def compile_artifact(
+    directory: PathLike,
+    model: ComAid,
+    ontology: Ontology,
+    kb: Optional[KnowledgeBase] = None,
+    index_aliases: bool = True,
+    restrict_to: Optional[Sequence[str]] = None,
+    metadata: Optional[Dict[str, Any]] = None,
+    index: str = "none",
+    index_seed: int = 0,
+) -> Path:
+    """:func:`build_artifact`, then write it to ``directory`` crash-safely.
+
+    Writes the arrays — with global TF-IDF statistics and a model
+    fingerprint — into ``directory`` and returns the artifact path.
+    Each compiled retrieval index file (``index``, see
+    :func:`build_artifact`) carries its own sha256 in the header's
+    ``retrieval`` section, verified again at load; without a dense
+    index the non-exact retrieval modes that need one refuse at engine
+    start.
+    """
+    artifact = build_artifact(
+        model,
+        ontology,
+        kb=kb,
+        index_aliases=index_aliases,
+        restrict_to=restrict_to,
+        index=index,
+        index_seed=index_seed,
+    )
+    header: Dict[str, Any] = {
         "format": ARTIFACT_FORMAT,
-        "fingerprint": model_fingerprint(model),
-        "concepts": len(cids),
-        "dim": dim,
-        "beta": beta,
+        "fingerprint": artifact.fingerprint,
+        "concepts": len(artifact),
+        "dim": model.config.dim,
+        "beta": model.config.beta,
         "index": {
-            "order": cids,
-            "index_aliases": bool(index_aliases),
-            "stats": stats.to_dict(),
-            "documents": {cid: list(tokens) for cid, tokens in documents},
+            "order": list(artifact.cids),
+            "index_aliases": artifact.index_aliases,
+            "stats": artifact.corpus_stats.to_dict(),
+            "documents": {
+                cid: list(tokens) for cid, tokens in artifact.documents
+            },
         },
     }
 
@@ -426,52 +501,32 @@ def compile_artifact(
     target = Path(directory)
     with atomic_directory(target) as staging:
         retrieval_meta: Dict[str, Any] = {}
-        if index in ("sparse", "both"):
-            probe("engine.compile.write.index_sparse.npz")
-            with trace.span("engine.compile.index", kind="sparse"):
-                sparse_arrays = InvertedIndex.from_tfidf(fitted).to_arrays()
-            np.savez_compressed(
-                staging / SPARSE_INDEX_FILE, **sparse_arrays
-            )
-            retrieval_meta["sparse"] = {
-                "file": SPARSE_INDEX_FILE,
-                "sha256": _sha256_of(staging / SPARSE_INDEX_FILE),
-            }
-        if index in ("dense", "both"):
-            probe("engine.compile.write.index_dense.npz")
-            with trace.span("engine.compile.index", kind="dense"):
-                dense = DenseIndex.train(
-                    np.stack(final_h_rows), seed=index_seed
-                )
-            np.savez_compressed(
-                staging / DENSE_INDEX_FILE, **dense.to_arrays()
-            )
-            retrieval_meta["dense"] = {
-                "file": DENSE_INDEX_FILE,
-                "sha256": _sha256_of(staging / DENSE_INDEX_FILE),
-                "n_clusters": dense.n_clusters,
-                "seed": index_seed,
+        for kind, name, built in (
+            ("sparse", SPARSE_INDEX_FILE, artifact.sparse_index),
+            ("dense", DENSE_INDEX_FILE, artifact.dense_index),
+        ):
+            if built is None:
+                continue
+            probe(f"engine.compile.write.{name}")
+            np.savez_compressed(staging / name, **built.to_arrays())
+            retrieval_meta[kind] = {
+                "file": name,
+                "sha256": _sha256_of(staging / name),
+                **artifact.retrieval_meta[kind],
             }
         if retrieval_meta:
             header["retrieval"] = retrieval_meta
         probe("engine.compile.write.slab.bin")
         slab_arrays: Dict[str, np.ndarray] = {
-            "final_h": np.stack(final_h_rows),
-            "final_c": np.stack(final_c_rows),
-            "states": (
-                np.concatenate(state_blocks)
-                if state_blocks
-                else np.zeros((0, dim))
-            ),
-            "state_offsets": state_offsets,
-            "word_ids": np.asarray(
-                [wid for block in word_blocks for wid in block],
-                dtype=np.int64,
-            ),
-            "word_offsets": word_offsets,
+            "final_h": artifact.final_h,
+            "final_c": artifact.final_c,
+            "states": artifact.states,
+            "state_offsets": artifact.state_offsets,
+            "word_ids": artifact.word_ids,
+            "word_offsets": artifact.word_offsets,
         }
-        if use_structure:
-            slab_arrays["structure"] = np.stack(structure_blocks)
+        if artifact.structure is not None:
+            slab_arrays["structure"] = artifact.structure
         header["slab"] = _write_slab(staging / SLAB_FILE, slab_arrays)
         probe("engine.compile.write.artifact.json")
         (staging / ARTIFACT_FILE).write_text(
@@ -480,8 +535,8 @@ def compile_artifact(
         write_manifest(staging, ARTIFACT_FORMAT, metadata)
     logger.info(
         "compiled %d concepts (%d encoder states) into %s",
-        len(cids),
-        int(state_offsets[-1]),
+        len(artifact),
+        int(artifact.state_offsets[-1]),
         target,
     )
     return target

@@ -1,13 +1,18 @@
 """The concept engine: linking over a compiled concept artifact.
 
-:class:`ConceptEngine` serves the linker's two hot paths entirely from
-precomputed state:
+Every :class:`~repro.core.linker.NeuralConceptLinker` links through one
+:class:`ConceptEngine`, over an artifact loaded from disk or built in
+memory (:mod:`repro.engine.compile`).  The engine serves the linker's
+two hot paths entirely from precomputed state:
 
-* Phase I — one TF-IDF index (:class:`~repro.core.candidates.CandidateGenerator`)
-  over the artifact's frozen documents, or, in the non-exact retrieval
-  modes, one sublinear index (:mod:`repro.retrieval`);
-* Phase II — one lock-step decode (:meth:`repro.core.comaid.ComAid.score_batch`)
-  per batch on the calling thread, gathering each row's memories by
+* Phase I — one TF-IDF inverted index
+  (:class:`~repro.core.candidates.CandidateGenerator`) over the
+  artifact's frozen documents — the artifact's precompiled index when
+  it has one — which the non-exact retrieval modes
+  (:mod:`repro.retrieval`) share as their sparse side;
+* Phase II — one lock-step decode
+  (:meth:`repro.core.comaid.ComAid.score_from_starts`) per batch on
+  the calling thread, gathering each row's memories by
   artifact position from the encoding slab, so the concept and
   ancestor encoders never run online.
 
@@ -20,35 +25,31 @@ order candidates unfairly.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.candidates import CandidateGenerator
-from repro.core.comaid import ComAid, ConceptEncoding, ConceptMemory
+from repro.core.comaid import ComAid, ConceptMemory
 from repro.core.config import RetrievalConfig
 from repro.engine.compile import ConceptArtifact
 from repro.obs import trace
 from repro.ontology.ontology import Ontology
 from repro.retrieval.hybrid import HybridRetriever
-from repro.retrieval.inverted import InvertedIndex
 from repro.utils.errors import ConfigurationError, DataError
 from repro.utils.faults import probe
-from repro.utils.logging import get_logger
-
-logger = get_logger("engine.concept_engine")
 
 
 class ConceptEngine:
     """Linking engine over one compiled concept artifact.
 
-    Construct from a trained model, the ontology, and a loaded
-    :class:`~repro.engine.compile.ConceptArtifact` (the artifact's
-    fingerprint should already have been checked against ``model`` by
-    ``load_artifact``).  The engine then serves the linker's two hot
-    paths: :meth:`retrieve` (Phase I) and :meth:`score_batch` (Phase
-    II, one lock-step decode), both backed entirely by precompiled
-    state.
+    Construct from a trained model, the ontology, and a
+    :class:`~repro.engine.compile.ConceptArtifact` built from that
+    model (``build_artifact``, or ``load_artifact`` with the
+    fingerprint checked against ``model``).  The engine then serves
+    the linker's two hot paths: :meth:`retrieve` (Phase I) and
+    :meth:`score_batch` (Phase II, one lock-step decode), both backed
+    entirely by precompiled state.
     """
 
     def __init__(
@@ -62,10 +63,9 @@ class ConceptEngine:
 
         ``retrieval`` selects the Phase-I strategy
         (:class:`repro.core.config.RetrievalConfig`).  ``exact`` (the
-        default) scans the TF-IDF index; ``sparse``, ``dense`` and
-        ``hybrid`` serve from a sublinear index (:mod:`repro.retrieval`).
-        Sparse serving prefers the artifact's precompiled index and
-        falls back to freezing one at engine start; dense/hybrid
+        default) and ``sparse`` search the one inverted index — the
+        artifact's precompiled one, or one frozen from its documents at
+        engine start; ``dense`` and ``hybrid`` add the dense index and
         require an artifact compiled with ``repro compile --index`` (no
         fallback — k-means training at startup would hide minutes of
         latency).
@@ -73,7 +73,7 @@ class ConceptEngine:
         self._model = model
         self._artifact = artifact
         self._candidates = CandidateGenerator.from_documents(
-            ontology, artifact.documents
+            ontology, artifact.documents, index=artifact.sparse_index
         )
         self._retrieval = (
             retrieval if retrieval is not None else RetrievalConfig()
@@ -105,21 +105,9 @@ class ConceptEngine:
         }
 
     def _build_retriever(self, config: RetrievalConfig) -> HybridRetriever:
-        """The sublinear retriever for non-exact modes."""
-        artifact = self._artifact
-        sparse = artifact.sparse_index
-        if sparse is None:
-            # No precompiled sparse index (compiled with --index
-            # none/dense): freezing one from the frozen documents is
-            # cheap relative to engine start and yields the identical
-            # index.
-            logger.info(
-                "artifact has no precompiled sparse index; freezing one "
-                "from %d documents at engine start",
-                len(artifact.documents),
-            )
-            sparse = InvertedIndex.build(artifact.documents)
-        dense = artifact.dense_index
+        """The sublinear retriever for non-exact modes, over the same
+        inverted index exact mode searches."""
+        dense = self._artifact.dense_index
         if config.mode in ("dense", "hybrid") and dense is None:
             raise ConfigurationError(
                 f"retrieval mode {config.mode!r} needs a compiled dense "
@@ -135,7 +123,7 @@ class ConceptEngine:
             return model.encode_concept(ids, keep_caches=False).final_h
 
         return HybridRetriever(
-            sparse,
+            self._candidates.index,
             dense,
             encode_query,
             nprobe=config.nprobe,
@@ -179,13 +167,10 @@ class ConceptEngine:
     def candidates(self) -> CandidateGenerator:
         """The TF-IDF generator over the artifact's frozen documents.
 
-        The linker adopts it as its own ``candidates``, so an
-        engine-backed process fits exactly one Phase-I index.
+        The linker adopts it as its own ``candidates``, so a process
+        holds exactly one exact Phase-I index.
         """
         return self._candidates
-
-    def __contains__(self, cid: str) -> bool:
-        return cid in self._artifact
 
     def stats(self) -> Dict[str, Any]:
         """Engine counters for the serving layer's snapshot/metrics."""
@@ -200,24 +185,6 @@ class ConceptEngine:
                 "mmap": bool(getattr(self._artifact, "mmap", False)),
             }
 
-    # -- precomputed encodings ----------------------------------------------
-
-    def encoding_of(self, cid: str) -> ConceptEncoding:
-        """The precompiled encoding for ``cid`` (zero-copy views)."""
-        return self._artifact.encoding_of(cid)
-
-    def structure_memory_of(
-        self, cid: str
-    ) -> Union[np.ndarray, List[ConceptEncoding]]:
-        """Precomputed ``(beta, dim)`` structure memory, or ``[]``.
-
-        The empty-list form is what :meth:`ComAid.score_batch` expects
-        for models without structure attention, so the return value can
-        be passed straight through as a candidate's ``ancestors``.
-        """
-        memory = self._artifact.structure_memory_of(cid)
-        return memory if memory is not None else []
-
     # -- Phase I: retrieval --------------------------------------------------
 
     def retrieve(
@@ -225,10 +192,11 @@ class ConceptEngine:
     ) -> List[Tuple[str, float]]:
         """Top-``k`` candidates for ``tokens`` under the retrieval mode.
 
-        ``exact`` scans the TF-IDF index; the non-exact modes
+        ``exact`` searches the inverted index; the non-exact modes
         (``sparse``/``dense``/``hybrid``) answer from the sublinear
-        retriever.  Either way the call is one ``engine.retrieve`` span
-        (phase CR, tagged with the mode).  A fault propagates.
+        retriever built over that same index.  Either way the call is
+        one ``engine.retrieve`` span (phase CR, tagged with the mode).
+        A fault propagates.
         """
         mode = self._retrieval.mode
         with self._lock:

@@ -142,7 +142,7 @@ def run(
         loss_before = pair_loss(text, cid)
         pair = controller.resolve(text, cid)
         trainer.continue_training([pair], epochs=retrain_epochs)
-        linker.invalidate_cache()
+        linker.swap_engine(model, None)  # recompile for the new weights
         loss_after = pair_loss(text, cid)
 
         current_concepts = concept_matrix()

@@ -64,7 +64,7 @@ def run_vary_k(
     results: Dict[str, Dict[int, Dict[str, float]]] = {}
     for name in datasets:
         pipeline = _pipeline_for(scale, name, generator)
-        pipeline.linker.warm_cache()  # encoding cache is steady-state
+        pipeline.linker.warm_cache()
         queries = pipeline.dataset.queries[:queries_per_point]
         per_k: Dict[int, Dict[str, float]] = {}
         for k in k_grid:

@@ -18,7 +18,7 @@ Design:
 * **Multi-tenant** — the same client mix routed through one
   :class:`MultiTenantLinkingService` over both tenants.
 * **Paired passes** — the two modes are measured back-to-back per
-  pass (after a warm-up pass that fills every encoding cache), and
+  pass (after a warm-up pass that loads every tenant), and
   the headline ``overhead_p50_pct`` is the *median* of the per-pass
   paired overheads — a transient stall in one pass moves one sample,
   not the estimate, which a single-pass difference would absorb.
@@ -163,7 +163,6 @@ def run_tenant_load(
     clients_per_tenant: int = 4,
     duration_s: float = 1.5,
     passes: int = 3,
-    cache_budget: int = 4096,
     verbose: bool = True,
 ) -> Dict[str, object]:
     """Paired dedicated-vs-multi-tenant load; returns the JSON report.
@@ -191,7 +190,7 @@ def run_tenant_load(
         for tenant in worlds
     }
     serving = ServingConfig(warm_on_start=False)
-    linker_config = LinkerConfig(k=k, encoding_cache_size=cache_budget)
+    linker_config = LinkerConfig(k=k)
 
     # -- dedicated baseline: one service per tenant, same process.
     dedicated: Dict[str, LinkingService] = {}
@@ -213,10 +212,7 @@ def run_tenant_load(
 
     registry = TenantRegistry(
         TenancyConfig(
-            definitions={
-                name: TenantConfig(cache_budget=cache_budget)
-                for name in worlds
-            },
+            definitions={name: TenantConfig() for name in worlds},
             default=sorted(worlds)[0],
         ),
         serving=serving,
@@ -234,8 +230,8 @@ def run_tenant_load(
     pass_reports: List[Dict[str, Any]] = []
     overheads: List[float] = []
     try:
-        # Warm-up pass (not recorded): loads every tenant and fills
-        # the encoding caches on both sides of the comparison.
+        # Warm-up pass (not recorded): loads every tenant and pays
+        # first-touch costs on both sides of the comparison.
         _drive_mixed(
             link_dedicated, tenant_queries, clients_per_tenant, 0.3
         )

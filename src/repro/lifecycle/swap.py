@@ -19,10 +19,9 @@ deployment and the in-memory pointer still on the old engine.
 In-flight requests are never harmed: the flip happens under the
 service's exclusive model lock, which the dispatcher thread also holds
 around every fused ``link_batch`` call — a batch either completes
-entirely on the old engine or starts entirely on the new one.  The linker's
-``swap_engine`` replaces (not clears) its encoding caches, so a stale
-encoding computed against the old weights can never be served under the
-new fingerprint.
+entirely on the old engine or starts entirely on the new one.  The
+linker's ``swap_engine`` refuses an engine compiled from other weights,
+so a stale encoding can never be served under the new fingerprint.
 
 Fault probe sites:
 
@@ -123,8 +122,8 @@ class ArtifactSwapper:
                     "or roll back the current one first"
                 )
             self._state = "staging"
-        # The heavy lifting (artifact load + verify, engine build, cache
-        # warm) runs outside self._lock so the dispatcher thread's mirror()
+        # The heavy lifting (artifact load + verify, engine build,
+        # warm-up) runs outside self._lock so the dispatcher thread's mirror()
         # calls — made while it holds the service's model lock — never
         # stall live traffic behind a staging candidate.
         try:

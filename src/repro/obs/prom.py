@@ -48,7 +48,7 @@ def render_prometheus(
     """The registry's current state in Prometheus text format.
 
     ``gauges`` carries point-in-time values that are not registry
-    counters (readiness, uptime, cache sizes); they render with
+    counters (readiness, uptime, queue depths); they render with
     ``# TYPE ... gauge``.  ``labeled`` carries metric families with
     label sets (one ``{"name", "type", "samples": [(labels, value)]}``
     mapping per family) — the per-worker series use a ``worker`` label
@@ -95,7 +95,7 @@ def render_prometheus(
 def snapshot_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
     """Extract gauge-worthy scalars from a service snapshot dict.
 
-    Pulls readiness/uptime plus per-cache and dispatcher numbers out of
+    Pulls readiness/uptime plus dispatcher and lifecycle numbers out of
     the JSON ``/metrics`` payload shape, so the Prometheus view covers
     the same surface without new bookkeeping.
     """
@@ -106,10 +106,6 @@ def snapshot_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
         gauges["healthy"] = 1.0 if snapshot["healthy"] else 0.0
     if "uptime_seconds" in snapshot:
         gauges["uptime_seconds"] = float(snapshot["uptime_seconds"])
-    for cache_name, stats in (snapshot.get("caches") or {}).items():
-        for key in ("size", "hits", "misses", "evictions"):
-            if key in stats:
-                gauges[f"cache.{cache_name}.{key}"] = float(stats[key])
     for key, value in (snapshot.get("traces") or {}).items():
         if isinstance(value, (int, float)):
             gauges[f"traces.{key}"] = float(value)

@@ -4,8 +4,6 @@ The paper evaluates NCL as an *online* system (Section 5, Figure 11);
 this package turns the one-shot :class:`~repro.core.linker.NeuralConceptLinker`
 into a service fit for sustained traffic:
 
-* :mod:`repro.serving.cache` — thread-safe bounded LRU with hit/miss/
-  eviction counters (backs the linker's encoding caches);
 * :mod:`repro.serving.metrics` — in-process counters and streaming
   latency histograms (p50/p95/p99) aggregating the per-query
   OR/CR/ED/RT :class:`~repro.utils.timing.TimingBreakdown`;
@@ -20,13 +18,11 @@ into a service fit for sustained traffic:
 * :mod:`repro.serving.server` — a stdlib-only threaded HTTP JSON API
   (``POST /link``, ``GET /healthz``, ``GET /readyz``, ``GET /metrics``).
 
-Only the dependency-free leaf modules are imported eagerly here;
-``repro.core.linker`` imports :mod:`repro.serving.cache`, so pulling
-the HTTP layer (which imports the linker back) into this package
-namespace at import time would create a cycle.
+Only the dependency-free leaf modules are imported eagerly here, so
+importing this package never pulls in the HTTP layer (which imports
+the linker).
 """
 
-from repro.serving.cache import CacheStats, LRUCache
 from repro.serving.metrics import (
     Counter,
     LatencyHistogram,
@@ -34,8 +30,6 @@ from repro.serving.metrics import (
 )
 
 __all__ = [
-    "CacheStats",
-    "LRUCache",
     "Counter",
     "LatencyHistogram",
     "MetricsRegistry",

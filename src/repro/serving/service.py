@@ -1,4 +1,4 @@
-"""The linking service: dispatcher + caches + metrics around one linker.
+"""The linking service: dispatcher + metrics around one linker.
 
 ``LinkingService`` is the transport-agnostic middle layer between the
 HTTP server and :class:`~repro.core.linker.NeuralConceptLinker`:
@@ -13,13 +13,13 @@ HTTP server and :class:`~repro.core.linker.NeuralConceptLinker`:
   (determinism under concurrency) and gives blue/green swaps their
   atomicity.  :class:`ProcPoolLinkingService` swaps in forked workers;
   nothing else changes;
-* warm-up (``warm_cache`` — pre-encoding the indexed concepts) runs on
-  a background thread at start; readiness flips only once it finishes,
-  so a load balancer never routes traffic to a cold instance paying
-  full ED cost per query;
+* warm-up (``warm_cache`` — touching every indexed concept's
+  precompiled state) runs on a background thread at start; readiness
+  flips only once it finishes, so a load balancer never routes traffic
+  to a cold instance;
 * per-request latency, per-phase OR/CR/ED/RT timings, result counts,
   and error counts land in a :class:`~repro.serving.metrics.MetricsRegistry`,
-  and ``snapshot()`` merges those with cache and dispatcher statistics
+  and ``snapshot()`` merges those with engine and dispatcher statistics
   into one JSON-ready report (the ``GET /metrics`` payload).
 """
 
@@ -134,11 +134,11 @@ class LinkingService:
 
     def _warm(self) -> None:
         # Bounded retry-with-backoff: a transiently failing warm-up
-        # (cold storage, a flaky first batch of encodes) should not
-        # condemn the instance to serving cold forever.  Only Exception
-        # is caught — KeyboardInterrupt/SystemExit must still unwind the
-        # thread (the finally flips readiness either way: the caches
-        # fill lazily, so serving slowly beats serving nothing).
+        # (cold storage, a read error paging in a mapped slab) should
+        # not condemn the instance to serving cold forever.  Only
+        # Exception is caught — KeyboardInterrupt/SystemExit must still
+        # unwind the thread (the finally flips readiness either way:
+        # serving cold beats serving nothing).
         try:
             attempts = self.config.warm_retries + 1
             for attempt in range(1, attempts + 1):
@@ -165,8 +165,9 @@ class LinkingService:
                     self._warm_error = None
                     elapsed = time.monotonic() - started
                     self.metrics.histogram("warmup_seconds").observe(elapsed)
+                    self.metrics.counter("warmup_concepts").inc(warmed)
                     LOGGER.info(
-                        "warm-up done: %d encodings in %.2fs (attempt %d)",
+                        "warm-up done: %d concepts in %.2fs (attempt %d)",
                         warmed,
                         elapsed,
                         attempt,
@@ -385,7 +386,7 @@ class LinkingService:
     # -- introspection ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """One JSON-ready report: metrics + caches + dispatcher + lifecycle."""
+        """One JSON-ready report: metrics + engine + dispatcher + lifecycle."""
         report: Dict[str, Any] = {
             "ready": self.ready,
             "healthy": self.healthy,
@@ -405,11 +406,6 @@ class LinkingService:
         report["slo"] = self.slo.snapshot()
         if self._frontend is not None:
             report["frontend"] = self._frontend.stats()
-        cache_stats = getattr(self.linker, "cache_stats", None)
-        if callable(cache_stats):
-            report["caches"] = {
-                stats.name: stats.as_dict() for stats in cache_stats()
-            }
         # Deployment provenance (training seed, checkpoint/resume point)
         # from the pipeline manifest, so BENCH runs can attribute
         # degradation rates to the exact model build.

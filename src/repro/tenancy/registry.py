@@ -3,8 +3,8 @@
 One process serves several ontologies at once.  Each *tenant* declared
 in the ``tenants`` section of :class:`~repro.core.config.RuntimeConfig`
 owns a linker (its own pipeline and/or compiled artifact), a
-:class:`~repro.serving.service.LinkingService` with partitioned
-encoding caches and SLO window, a :class:`MetricsRegistry` that
+:class:`~repro.serving.service.LinkingService` with its own concept
+engine and SLO window, a :class:`MetricsRegistry` that
 survives eviction, and an optional rolling request quota.
 
 Loading is lazy: a tenant costs nothing until its first request, at
@@ -136,7 +136,7 @@ class TenantRuntime:
 
     The :class:`MetricsRegistry` and :class:`QuotaWindow` live here —
     not on the service — so eviction (which drops the service and its
-    caches) never zeroes a tenant's counters or resets its quota.
+    engine) never zeroes a tenant's counters or resets its quota.
     """
 
     def __init__(
@@ -163,7 +163,6 @@ class TenantRuntime:
             "loaded": self.loaded,
             "artifact_dir": self.config.artifact_dir,
             "retrieval_mode": self.config.retrieval_mode,
-            "cache_budget": self.config.cache_budget,
             "cost_bytes": self.cost_bytes if self.loaded else 0,
             "quota": self.quota.snapshot(),
             "loads": self.metrics.counter("tenant_loads").value,
@@ -173,11 +172,6 @@ class TenantRuntime:
         if self.loaded:
             assert self.service is not None
             info["slo"] = self.service.slo.snapshot()
-            cache_stats = getattr(self.service.linker, "cache_stats", None)
-            if callable(cache_stats):
-                info["caches"] = {
-                    stats.name: stats.as_dict() for stats in cache_stats()
-                }
         return info
 
 

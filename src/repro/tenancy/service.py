@@ -6,7 +6,7 @@ speaks (``ready``/``healthy``/``link_many``/``snapshot``/``stop``/
 ``tracer``/``metrics``), adding the tenant dimension: every request
 resolves to a tenant through the :class:`TenantRegistry` (lazy load,
 LRU evict), pays that tenant's quota, and runs on that tenant's
-service — so caches, metrics, SLO windows, and fused batches never mix
+service — so engines, metrics, SLO windows, and fused batches never mix
 across tenants.
 
 It also owns cross-ontology mapping: a :class:`ConceptMapper` per

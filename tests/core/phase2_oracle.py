@@ -1,11 +1,14 @@
 """Per-candidate Phase-II reference: the equivalence suites' oracle.
 
 The linker scores every candidate of every query in a batch with one
-lock-step decode (``ComAid.score_batch``).  This module derives the same
-results the slow, obvious way — its own word-level token filters, then
-one ``model.score_with_encodings`` call per candidate — so the tests can
-prove that batching changes the work schedule and nothing else:
-identical rankings, tie order, and log-probs to ≤1e-9.
+lock-step decode over its concept engine's precompiled slab
+(``ConceptEngine.score_batch``).  This module derives the same results
+the slow, obvious way — its own word-level token filters, its own
+concept and ancestor encodings (``model.encode_concept`` over the
+ontology's words), then one ``model.score_with_encodings`` call per
+candidate — so the tests can prove that compilation and batching
+change the work schedule and nothing else: identical rankings, tie
+order, and log-probs to ≤1e-9.
 
 Phase I (OR + CR) and the RT sort are the linker's own; only the ED
 scoring is re-derived.
@@ -18,6 +21,7 @@ import numpy as np
 from repro.core.comaid import ComAid, ConceptEncoding
 from repro.core.linker import LinkResult, NeuralConceptLinker, RankedConcept
 from repro.nn.functional import log_softmax
+from repro.ontology.paths import structural_context
 from repro.text.tokenize import tokenize
 
 
@@ -62,6 +66,30 @@ def effective_tokens(
     return tokens
 
 
+def concept_encoding(linker: NeuralConceptLinker, cid: str) -> ConceptEncoding:
+    """``cid``'s encoding, computed here from its description words."""
+    model = linker.model
+    words = list(linker.ontology.get(cid).words)
+    return model.encode_concept(model.words_to_ids(words), keep_caches=False)
+
+
+def ancestor_encodings(
+    linker: NeuralConceptLinker, cid: str
+) -> List[ConceptEncoding]:
+    """Encodings of ``cid``'s β-ancestor path (Def. 4.1), computed here;
+    ``[]`` without structure attention."""
+    model = linker.model
+    if not model.config.use_structure_attention:
+        return []
+    path = structural_context(linker.ontology, cid, model.config.beta)
+    return [
+        model.encode_concept(
+            model.words_to_ids(list(concept.words)), keep_caches=False
+        )
+        for concept in path[1:]
+    ]
+
+
 def score_candidate(
     linker: NeuralConceptLinker,
     cid: str,
@@ -77,9 +105,11 @@ def score_candidate(
     if effective is None:
         return 0.0
     query_ids = linker.model.words_to_ids(effective)
-    encoding = linker._concept_encoding(cid)
-    ancestors = linker._ancestor_encodings(cid)
-    return linker.model.score_with_encodings(encoding, ancestors, query_ids)
+    return linker.model.score_with_encodings(
+        concept_encoding(linker, cid),
+        ancestor_encodings(linker, cid),
+        query_ids,
+    )
 
 
 def link(

@@ -1,10 +1,10 @@
-"""Bounded-LRU behaviour of the linker's encoding caches.
+"""Batching, warm-up and concurrency of the engine-backed linker.
 
 The heavy trained-model fixtures live in ``tests/serving/conftest.py``
-(shared with the serving-layer tests); here we exercise the cache
-semantics the serving subsystem relies on: bounded size, observable
-counters, preserved ``invalidate_cache``/``warm_cache`` behaviour, and
-identical rankings whatever the capacity.
+(shared with the serving-layer tests); here we exercise what the
+serving subsystem relies on: ``warm_cache`` touching every indexed
+concept, ``link_batch`` fusing queries into one decode with identical
+rankings, and deterministic concurrent linking.
 """
 
 import threading
@@ -16,72 +16,14 @@ from repro.utils.errors import ConfigurationError
 from tests.serving.conftest import make_linker, trained_pipeline  # noqa: F401
 
 
-class TestBoundedCaches:
-    def test_default_capacity_comes_from_config(self, make_linker):
-        linker = make_linker()
-        encoding_stats, ancestor_stats = linker.cache_stats()
-        assert encoding_stats.capacity == 4096
-        assert ancestor_stats.capacity == 4096
-
-    def test_zero_config_means_unbounded(self, make_linker):
-        linker = make_linker(encoding_cache_size=0)
-        encoding_stats, _ = linker.cache_stats()
-        assert encoding_stats.capacity is None
-
-    def test_negative_capacity_rejected(self, make_linker):
-        with pytest.raises(ConfigurationError):
-            make_linker(encoding_cache_size=-1)
-
-    def test_warm_cache_respects_capacity(self, make_linker):
-        linker = make_linker(encoding_cache_size=2)
-        warmed = linker.warm_cache()
-        # Seven indexed leaves flow through, only two survive eviction.
-        assert warmed == 2
-        encoding_stats, _ = linker.cache_stats()
-        assert encoding_stats.size == 2
-        assert encoding_stats.evictions == 5
-
-    def test_warm_cache_full_capacity_counts_all_leaves(
-        self, make_linker, trained_pipeline
-    ):
+class TestWarmUp:
+    def test_warm_cache_counts_all_leaves(self, make_linker, trained_pipeline):
         ontology, _, _ = trained_pipeline
         linker = make_linker()
         assert linker.warm_cache() == len(ontology.fine_grained())
 
-    def test_eviction_is_observable_during_linking(self, make_linker):
-        linker = make_linker(encoding_cache_size=1)
-        linker.link("ckd stage 5")
-        linker.link("vitamin c deficiency anemia")
-        encoding_stats, _ = linker.cache_stats()
-        assert encoding_stats.size == 1
-        assert encoding_stats.evictions >= 1
-        assert encoding_stats.misses >= 2
-
-    def test_warm_then_link_hits_cache(self, make_linker):
-        linker = make_linker()
-        linker.warm_cache()
-        before = linker.cache_stats()[0]
-        linker.link("ckd stage 5")
-        after = linker.cache_stats()[0]
-        assert after.hits > before.hits
-        assert after.misses == before.misses
-
-    def test_invalidate_cache_empties_and_still_links(self, make_linker):
-        linker = make_linker()
-        linker.warm_cache()
-        linker.invalidate_cache()
-        encoding_stats, ancestor_stats = linker.cache_stats()
-        assert encoding_stats.size == 0
-        assert ancestor_stats.size == 0
-        assert linker.link("anemia").ranked
-
-    def test_tiny_capacity_does_not_change_rankings(self, make_linker):
-        roomy = make_linker()
-        cramped = make_linker(encoding_cache_size=1)
-        for query in ("ckd stage 5", "anemia blood loss", "acute abdomen"):
-            expected = [(c.cid, c.log_prob) for c in roomy.link(query).ranked]
-            actual = [(c.cid, c.log_prob) for c in cramped.link(query).ranked]
-            assert actual == expected
+    def test_warm_cache_counts_named_concepts(self, make_linker):
+        assert make_linker().warm_cache(["N18.5", "D50.0"]) == 2
 
 
 class TestLinkBatch:
@@ -99,10 +41,12 @@ class TestLinkBatch:
 
     def test_batch_amortises_encodings(self, make_linker):
         linker = make_linker()
-        # The same query twice: the second pays zero encoding misses.
-        linker.link_batch(["ckd stage 5", "ckd stage 5"])
-        encoding_stats, _ = linker.cache_stats()
-        assert encoding_stats.hits >= 1
+        # The same query twice: one fused decode, and each candidate
+        # concept's decoder start is computed once, not once per row.
+        first, _ = linker.link_batch(["ckd stage 5", "ckd stage 5"])
+        stats = linker.engine.stats()
+        assert stats["score_batches"] == 1
+        assert 0 < linker.engine._starts_filled <= len(first.ranked)
 
     def test_per_query_k(self, make_linker):
         linker = make_linker()
@@ -125,8 +69,9 @@ class TestLinkBatch:
 
 class TestThreadSafety:
     def test_concurrent_links_are_deterministic(self, make_linker):
-        """Direct concurrent link() calls (no batcher) agree with
-        sequential results — the caches are the only shared state."""
+        """Direct concurrent link() calls (no dispatcher) agree with
+        sequential results — the engine's decoder-start table is the
+        only mutable shared state."""
         linker = make_linker()
         queries = ["ckd stage 5", "anemia blood loss", "acute abdomen pain"]
         expected = {

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.config import ComAidConfig, LinkerConfig, TrainingConfig
 from repro.core.linker import NeuralConceptLinker
-from repro.core.persistence import load_pipeline, save_pipeline
+from repro.core.persistence import (
+    load_pipeline,
+    load_pipeline_parts,
+    save_pipeline,
+)
 from repro.core.trainer import ComAidTrainer
 from repro.utils.errors import DataError
 
@@ -61,6 +65,27 @@ class TestRoundTrip:
                 for c in loaded_linker.link(query).ranked
             ]
             assert before == after, query
+
+    def test_parts_load_without_building_a_linker(
+        self, trained_stack, tmp_path, monkeypatch
+    ):
+        """``repro compile`` loads through the parts: a linker there would
+        compile every concept in memory only to be discarded."""
+        ontology, kb, model = trained_stack
+        directory = tmp_path / "pipeline"
+        save_pipeline(directory, model, ontology, kb=kb, metadata={"seed": 3})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_pipeline_parts built a linker")
+
+        monkeypatch.setattr(NeuralConceptLinker, "__init__", refuse)
+        loaded_model, loaded_ontology, loaded_kb, vectors, metadata = (
+            load_pipeline_parts(directory)
+        )
+        assert loaded_model.config == model.config
+        assert [c.cid for c in loaded_ontology] == [c.cid for c in ontology]
+        assert loaded_kb is not None and vectors is None
+        assert metadata == {"seed": 3}
 
     def test_vectors_roundtrip(self, trained_stack, tmp_path):
         import numpy as np

@@ -1,7 +1,8 @@
 """Equivalence of batched Phase-II scoring with the sequential reference.
 
 The linker's one Phase-II path — every candidate of every query in a
-batch scored by a single lock-step decode (``ComAid.score_batch``) — is
+batch scored by a single lock-step decode (``ConceptEngine.score_batch``,
+with ``ComAid.score_batch`` as its encoding-pair form) — is
 a numerical refactor of the paper's Eq. 5–9 hot path, so every claim
 ships with a proof against the per-candidate oracle
 (``tests/core/phase2_oracle.py``):
@@ -463,7 +464,7 @@ class TestHeterogeneousCandidates:
         # (Def. 4.1).  The batched (k, beta, d) structure memory must
         # reproduce that duplicated block exactly.
         linker = _heterogeneous_linker()
-        ancestors = linker._ancestor_encodings("P00")
+        ancestors = oracle.ancestor_encodings(linker, "P00")
         assert len(ancestors) == 2
         np.testing.assert_array_equal(ancestors[0].final_h, ancestors[1].final_h)
         result = linker.link("severe pain syndrome")
@@ -495,11 +496,17 @@ def _vocab_query(model: ComAid, rng: np.random.Generator, length: int):
 
 
 def _runtime_candidates(linker: NeuralConceptLinker, cids):
-    """Runtime (encoder-run) ``(concept, ancestors)`` pairs for cids."""
-    return [
-        (linker._concept_encoding(cid), linker._ancestor_encodings(cid))
-        for cid in cids
-    ]
+    """Runtime (encoder-run) ``(concept, ancestors)`` pairs for cids,
+    one pair object per distinct cid (as ``score_batch`` dedups by
+    identity)."""
+    pairs = {
+        cid: (
+            oracle.concept_encoding(linker, cid),
+            oracle.ancestor_encodings(linker, cid),
+        )
+        for cid in dict.fromkeys(cids)
+    }
+    return [pairs[cid] for cid in cids]
 
 
 class TestDecoderStart:

@@ -95,6 +95,15 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match=r"\['batch_wait_ms'\]"):
             RuntimeConfig.from_dict({"serving": {"batch_wait_ms": 2.0}})
 
+    def test_retired_encoding_cache_size_key_is_rejected_by_name(self):
+        """``encoding_cache_size`` went with the runtime-encoding LRU
+        caches (every linker serves from a compiled artifact); a config
+        file still carrying it is refused."""
+        with pytest.raises(
+            ConfigurationError, match=r"\['encoding_cache_size'\]"
+        ):
+            RuntimeConfig.from_dict({"linker": {"encoding_cache_size": 64}})
+
 
 class TestFromFile:
     def test_reads_a_json_file(self, tmp_path):

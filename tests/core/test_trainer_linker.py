@@ -1,6 +1,8 @@
 """Integration-leaning tests for the trainer and the two-phase linker,
 on the paper's Figure 1/3 fixture data (fast: tiny model)."""
 
+import copy
+
 import pytest
 
 from repro.core.config import ComAidConfig, LinkerConfig, TrainingConfig
@@ -164,12 +166,26 @@ class TestLinker:
         cached = linker.warm_cache()
         assert cached == len(ontology.fine_grained())
 
-    def test_invalidate_cache(self, trained):
+    def test_swap_engine_recompiles_after_retrain(self, trained):
         ontology, kb, trainer, model = trained
-        linker = NeuralConceptLinker(model, ontology, LinkerConfig(k=5), kb=kb)
-        linker.warm_cache()
-        linker.invalidate_cache()
-        assert linker.link("anemia").ranked  # still works after reset
+        retrained = copy.deepcopy(model)
+        linker = NeuralConceptLinker(
+            retrained, ontology, LinkerConfig(k=5), kb=kb
+        )
+        stale = linker.model_fingerprint
+        # An in-place retrain: the weights change under the linker.
+        for _, parameter in retrained.named_parameters():
+            parameter.value += 0.01
+        previous_model, previous_engine = linker.swap_engine(retrained, None)
+        assert previous_model is retrained
+        assert linker.engine is not previous_engine
+        assert linker.model_fingerprint != stale
+        fresh = NeuralConceptLinker(
+            retrained, ontology, LinkerConfig(k=5), kb=kb
+        )
+        assert [(c.cid, c.log_prob) for c in linker.link("anemia").ranked] == [
+            (c.cid, c.log_prob) for c in fresh.link("anemia").ranked
+        ]
 
     def test_fully_covered_query_scores_zero(self, trained):
         ontology, kb, trainer, model = trained

@@ -9,6 +9,7 @@ import pytest
 from repro.core.comaid import ComAid
 from repro.engine.compile import (
     ARTIFACT_FORMAT,
+    build_artifact,
     compile_artifact,
     load_artifact,
     model_fingerprint,
@@ -32,6 +33,35 @@ class TestRoundTrip:
         np.testing.assert_array_equal(first.structure, second.structure)
         assert first.documents == second.documents
         assert first.fingerprint == second.fingerprint
+
+    def test_in_memory_build_matches_the_disk_build(self, engine_stack,
+                                                    tmp_path):
+        """``build_artifact`` is ``load_artifact`` after
+        ``compile_artifact``, byte for byte, indexes included."""
+        ontology, kb, model, _ = engine_stack
+        built = build_artifact(model, ontology, kb=kb, index="both")
+        directory = compile_artifact(
+            tmp_path / "artifact", model, ontology, kb=kb, index="both"
+        )
+        loaded = load_artifact(directory, model=model)
+        assert built.directory is None
+        assert built.cids == loaded.cids
+        for name in ("final_h", "final_c", "states", "state_offsets",
+                     "word_ids", "word_offsets", "structure"):
+            mine, theirs = getattr(built, name), getattr(loaded, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.shape == theirs.shape, name
+            assert mine.tobytes() == theirs.tobytes(), name
+        assert built.documents == loaded.documents
+        assert built.corpus_stats == loaded.corpus_stats
+        assert built.fingerprint == loaded.fingerprint
+        assert built.index_aliases == loaded.index_aliases
+        for kind in ("sparse_index", "dense_index"):
+            mine = getattr(built, kind).to_arrays()
+            theirs = getattr(loaded, kind).to_arrays()
+            assert sorted(mine) == sorted(theirs), kind
+            for key in mine:
+                assert mine[key].tobytes() == theirs[key].tobytes(), (kind, key)
 
     def test_header_describes_the_model(self, engine_stack, artifact):
         _, _, model, _ = engine_stack

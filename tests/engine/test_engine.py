@@ -1,5 +1,6 @@
 """The concept engine: one Phase-I index per linker, and failure
-behaviour.  Equivalence with the runtime path is in ``test_shards.py``."""
+behaviour.  Equivalence with the per-candidate oracle is in
+``test_shards.py``."""
 
 import math
 
@@ -7,7 +8,9 @@ import pytest
 
 from repro import api
 from repro.core.config import LinkerConfig
+from repro.core.linker import NeuralConceptLinker
 from repro.core.persistence import save_pipeline
+from repro.engine.compile import compile_artifact
 from repro.engine.concept_engine import ConceptEngine
 from repro.text.tfidf import TfIdfIndex
 from repro.utils.errors import DataError
@@ -23,10 +26,15 @@ class TestOneIndex:
 
     def test_load_linker_fits_one_tfidf_index(self, engine_stack, tmp_path,
                                               monkeypatch):
-        """An engine-backed linker builds exactly one Phase-I index: the
-        engine's generator, adopted by the linker."""
-        ontology, kb, model, artifact_dir = engine_stack
+        """A linker holds exactly one exact Phase-I index: an artifact's
+        precompiled inverted index is adopted as is (no fit at load),
+        and a linker without an artifact fits one while it builds its
+        artifact in memory."""
+        ontology, kb, model, _ = engine_stack
         save_pipeline(tmp_path / "model", model, ontology, kb=kb)
+        artifact_dir = compile_artifact(
+            tmp_path / "artifact", model, ontology, kb=kb, index="sparse"
+        )
         calls = []
         fit = TfIdfIndex.fit
 
@@ -35,11 +43,31 @@ class TestOneIndex:
             return fit(self, documents)
 
         monkeypatch.setattr(TfIdfIndex, "fit", counting_fit)
-        linker = api.load_linker(
+        served = api.load_linker(
             tmp_path / "model", LinkerConfig(artifact_dir=str(artifact_dir))
         )
-        assert linker.engine is not None
+        assert calls == []
+        assert served.candidates.index is served.engine.artifact.sparse_index
+        in_memory = api.load_linker(tmp_path / "model", LinkerConfig())
         assert len(calls) == 1
+        assert in_memory.engine.artifact.directory is None
+        assert (
+            in_memory.candidates.index
+            is in_memory.engine.artifact.sparse_index
+        )
+
+    def test_sparse_mode_shares_the_exact_index(self, engine_stack):
+        ontology, kb, model, artifact_dir = engine_stack
+        linker = NeuralConceptLinker(
+            model,
+            ontology,
+            LinkerConfig(
+                k=5, artifact_dir=str(artifact_dir),
+                retrieval={"mode": "sparse"},
+            ),
+            kb=kb,
+        )
+        assert linker.engine.retriever.sparse is linker.candidates.index
 
 
 class TestFailures:

@@ -27,8 +27,10 @@ SHARD_COUNTS = (1, 2, 4)
 
 @pytest.fixture(scope="package")
 def baseline_linker(engine_stack):
-    """The runtime-encoding linker whose per-candidate oracle scores
-    (``tests/core/phase2_oracle.py``) the engine must reproduce."""
+    """A linker over an in-memory artifact; the oracle
+    (``tests/core/phase2_oracle.py``) scores its candidates from
+    encodings it computes itself, which the sharded engine linker
+    must reproduce."""
     ontology, kb, model, _ = engine_stack
     return NeuralConceptLinker(model, ontology, LinkerConfig(k=5), kb=kb)
 

@@ -138,32 +138,25 @@ class TestCacheInvalidation:
         self, stack, candidate_factory, retrained_model, lifecycle_base
     ):
         """Satellite guarantee: an encoding computed against the old
-        weights must be unreachable after the swap — even one inserted
-        *late* by a racing in-flight computation."""
+        weights must be unreachable after the swap — the linker serves
+        only the promoted engine, and refuses to flip back to an engine
+        compiled from other weights."""
+        from repro.utils.errors import DataError
+
         ontology, kb, _, _, _ = lifecycle_base
         service, controller, _ = stack
         linker = service.linker
         feed(service)
-        old_encodings = linker._encoding_cache
-        old_ancestors = linker._ancestor_cache
+        old_engine = linker.engine
         stage_candidate(controller, candidate_factory, retrained_model)
         feed(service)
-        # Poison the pre-swap caches with sentinel entries standing in
-        # for encodings computed against the old weights.
-        poisoned = [concept.cid for concept in list(ontology)[:3]]
-        stale_marker = object()
-        for cid in poisoned:
-            old_encodings.put(cid, stale_marker)
-            old_ancestors.put(cid, stale_marker)
         assert controller.promote()["promoted"]
-        # The cache *objects* were replaced, not cleared: a racing
-        # get_or_create still running against the old model lands its
-        # stale entry in the orphaned object, never the live one.
-        assert linker._encoding_cache is not old_encodings
-        assert linker._ancestor_cache is not old_ancestors
-        for cid in poisoned:
-            assert cid not in linker._encoding_cache
-            assert cid not in linker._ancestor_cache
+        assert linker.engine is not old_engine
+        assert linker.candidates is linker.engine.candidates
+        linker.engine.artifact.check_model(retrained_model)
+        with pytest.raises(DataError, match="fingerprint mismatch"):
+            linker.swap_engine(retrained_model, old_engine)
+        assert linker.model_fingerprint != old_engine.fingerprint
         # Fresh scores match a reference linker built directly over the
         # new model — nothing served came from the poisoned old cache.
         from repro.core.config import LinkerConfig

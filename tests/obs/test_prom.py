@@ -96,7 +96,6 @@ class TestSnapshotGauges:
             "ready": True,
             "healthy": False,
             "uptime_seconds": 12.5,
-            "caches": {"concepts": {"size": 10, "hits": 4, "name": "x"}},
             "frontend": {"jobs_ok": 3, "shed_policy": "reject_new"},
             "traces": {"retained": 2, "sample_rate": 1.0},
         }
@@ -104,8 +103,6 @@ class TestSnapshotGauges:
         assert gauges["ready"] == 1.0
         assert gauges["healthy"] == 0.0
         assert gauges["uptime_seconds"] == 12.5
-        assert gauges["cache.concepts.size"] == 10.0
-        assert gauges["cache.concepts.hits"] == 4.0
         assert gauges["frontend.jobs_ok"] == 3.0
         assert gauges["traces.retained"] == 2.0
         assert "frontend.shed_policy" not in gauges

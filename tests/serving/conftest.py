@@ -1,7 +1,7 @@
 """Shared serving-layer fixtures: one tiny trained pipeline per module.
 
 Training is the expensive part, so the model is module-scoped; tests
-that need private cache state build their own (cheap) linker around
+that need private engine state build their own (cheap) linker around
 the shared model.
 """
 
@@ -62,7 +62,7 @@ def build_figure3_kb(ontology: Ontology) -> KnowledgeBase:
     return kb
 
 
-#: Query mix covering cache hits, rewrites, numerics, and no-match.
+#: Query mix covering repeats, rewrites, numerics, and no-match.
 SERVING_QUERIES = [
     "ckd stage 5",
     "anemia blood loss",
@@ -93,7 +93,7 @@ def trained_pipeline():
 
 @pytest.fixture
 def make_linker(trained_pipeline):
-    """Factory for fresh linkers (private cache state) over the shared model."""
+    """Factory for fresh linkers (private engine state) over the shared model."""
     ontology, kb, model = trained_pipeline
 
     def factory(**config_kwargs) -> NeuralConceptLinker:

@@ -5,6 +5,7 @@ readiness tests build their own gated instances.
 """
 
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -215,19 +216,31 @@ class TestMetricsEndpoint:
         assert request_histogram["p50"] <= request_histogram["p99"]
         for phase in ("OR", "CR", "ED", "RT"):
             assert payload["histograms"][f"phase_seconds.{phase}"]["count"] >= 1
-        assert payload["caches"]["encodings"]["hit_rate"] >= 0.0
+        assert payload["engine"]["retrievals"] >= 1
+        assert "caches" not in payload
         assert payload["config"]["max_batch_size"] == 8
 
-    def test_warm_cache_yields_high_hit_rate(self, running_server):
-        base, _ = running_server
-        for query in SERVING_QUERIES:
-            _post(base, "/v1/link", {"query": query})
+    def test_warm_up_counts_every_concept(self, running_server):
+        base, service = running_server
         _, payload = _get(base, "/v1/metrics")
-        encodings = payload["caches"]["encodings"]
-        # Warm-up pre-encoded every indexed concept, so live traffic
-        # almost only hits (misses all date from warm-up itself).
-        assert encodings["hits"] > 0
-        assert encodings["hit_rate"] > 0.4
+        concepts = len(service.linker.candidates.indexed_cids)
+        assert payload["counters"]["warmup_concepts"] == concepts > 0
+        assert payload["histograms"]["warmup_seconds"]["count"] == 1
+
+    def test_artifact_backed_warm_up_logs_and_counts_concepts(
+        self, make_worker_linker, caplog
+    ):
+        linker = make_worker_linker()
+        concepts = len(linker.engine.artifact)
+        service = LinkingService(linker, ServingConfig())
+        with caplog.at_level(logging.INFO, logger="repro.serving.service"):
+            service.start(wait=True)
+        try:
+            counters = service.snapshot()["counters"]
+            assert counters["warmup_concepts"] == concepts > 0
+            assert f"warm-up done: {concepts} concepts" in caplog.text
+        finally:
+            service.stop()
 
 
 class TestErrorHandling:

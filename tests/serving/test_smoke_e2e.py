@@ -163,8 +163,8 @@ class TestServingSmoke:
         assert metrics["counters"]["requests_total"] >= linked
         request_histogram = metrics["histograms"]["request_seconds"]
         assert request_histogram["count"] >= 1
-        encodings = metrics["caches"]["encodings"]
-        assert encodings["hits"] + encodings["misses"] > 0
+        assert metrics["engine"]["retrievals"] > 0
+        assert metrics["counters"]["warmup_concepts"] > 0
 
         summary = {
             "benchmark": "serving_smoke",
@@ -181,10 +181,10 @@ class TestServingSmoke:
                 for phase in ("OR", "CR", "ED", "RT")
                 if f"phase_seconds.{phase}" in metrics["histograms"]
             },
-            "encoding_cache": {
-                "hit_rate": encodings["hit_rate"],
-                "size": encodings["size"],
-                "evictions": encodings["evictions"],
+            "warmup_concepts": metrics["counters"]["warmup_concepts"],
+            "engine": {
+                key: metrics["engine"][key]
+                for key in ("concepts", "retrievals", "score_batches")
             },
             "frontend": metrics["frontend"],
         }

@@ -15,7 +15,6 @@ class TestTenantConfig:
     def test_defaults_are_valid(self):
         tenant = TenantConfig()
         assert tenant.retrieval_mode == "exact"
-        assert tenant.cache_budget == 4096
 
     def test_rejects_unknown_retrieval_mode(self):
         with pytest.raises(ConfigurationError, match="retrieval_mode"):
@@ -27,22 +26,20 @@ class TestTenantConfig:
         TenantConfig(retrieval_mode="sparse", artifact_dir="/tmp/a")
 
     @pytest.mark.parametrize(
-        "field", ["k", "cache_budget", "quota_per_minute"]
+        "field", ["k", "quota_per_minute"]
     )
     def test_rejects_negative_budgets(self, field):
         with pytest.raises(ConfigurationError, match=field):
             TenantConfig(**{field: -1})
 
     def test_to_linker_config_scopes_overrides(self):
-        base = LinkerConfig(k=7, encoding_cache_size=100)
+        base = LinkerConfig(k=7)
         tenant = TenantConfig(
-            artifact_dir="/tmp/a", retrieval_mode="sparse",
-            cache_budget=9, k=3,
+            artifact_dir="/tmp/a", retrieval_mode="sparse", k=3,
         )
         scoped = tenant.to_linker_config(base)
         assert scoped.artifact_dir == "/tmp/a"
         assert scoped.retrieval.mode == "sparse"
-        assert scoped.encoding_cache_size == 9
         assert scoped.k == 3
         # No per-tenant k -> the base k governs.
         assert TenantConfig().to_linker_config(base).k == 7
@@ -55,15 +52,22 @@ class TestTenancyConfig:
 
     def test_coerces_mapping_definitions(self):
         tenancy = TenancyConfig(
-            definitions={"a": {"cache_budget": 8}}, default="a"
+            definitions={"a": {"quota_per_minute": 8}}, default="a"
         )
         assert isinstance(tenancy.definitions["a"], TenantConfig)
-        assert tenancy.definitions["a"].cache_budget == 8
+        assert tenancy.definitions["a"].quota_per_minute == 8
         assert tenancy.enabled
 
     def test_rejects_unknown_tenant_keys(self):
         with pytest.raises(ConfigurationError, match="wat"):
             TenancyConfig(definitions={"a": {"wat": 1}}, default="a")
+
+    def test_rejects_removed_cache_budget_by_name(self):
+        # API 1.9 removed the per-tenant encoding caches.
+        with pytest.raises(ConfigurationError, match="cache_budget"):
+            RuntimeConfig.from_dict(
+                {"tenants": {"definitions": {"a": {"cache_budget": 8}}}}
+            )
 
     @pytest.mark.parametrize("name", ["", "a b", "a/b", "a\nb"])
     def test_rejects_bad_tenant_names(self, name):
@@ -79,7 +83,7 @@ class TestTenancyConfig:
             {
                 "tenants": {
                     "definitions": {
-                        "icd": {"cache_budget": 16, "quota_per_minute": 5},
+                        "icd": {"k": 16, "quota_per_minute": 5},
                         "sct": {"retrieval_mode": "sparse",
                                 "artifact_dir": "/tmp/sct"},
                     },

@@ -54,15 +54,17 @@ class TestConcurrentIsolation:
             service.metrics.counter("routed_requests").value == 2 * expected
         )
 
-        # Cache partitions are disjoint: each tenant's encoding cache
-        # holds only its own ontology's concepts.
+        # Engine partitions are disjoint: each tenant's engine holds
+        # only its own ontology's concepts.
         icd_linker = icd.service.linker
         sct_linker = sct.service.linker
-        assert icd_linker is not sct_linker
-        icd_stats = {s.name: s for s in icd_linker.cache_stats()}
-        sct_stats = {s.name: s for s in sct_linker.cache_stats()}
-        assert icd_stats["encodings"].size > 0
-        assert sct_stats["encodings"].size > 0
+        assert icd_linker.engine is not sct_linker.engine
+        icd_cids = set(icd_linker.engine.artifact.cids)
+        sct_cids = set(sct_linker.engine.artifact.cids)
+        assert icd_cids and sct_cids
+        assert not icd_cids & sct_cids
+        assert all(cid in icd_linker.ontology for cid in icd_cids)
+        assert all(cid in sct_linker.ontology for cid in sct_cids)
 
     def test_quota_hits_only_the_throttled_tenant(self, make_service):
         service = make_service(
@@ -126,7 +128,7 @@ class TestEquivalence:
                     model, ontology, LinkerConfig(k=5), kb=kb
                 ),
                 ServingConfig(),
-            ).start()
+            ).start(wait=True)
             try:
                 routed = service.link_many(queries, tenant=tenant)
                 direct = dedicated.link_many(queries)

@@ -52,10 +52,9 @@ class TestLazyLoading:
 
     def test_tenant_config_scopes_the_linker(self, make_registry):
         registry = make_registry(
-            tenant_kwargs={"icd": {"cache_budget": 3, "k": 2}}
+            tenant_kwargs={"icd": {"k": 2}}
         )
         service = registry.service_for(registry.resolve("icd"))
-        assert service.linker.config.encoding_cache_size == 3
         assert service.linker.config.k == 2
 
 

@@ -17,9 +17,11 @@ class TestSurface:
         # dropped two LinkerConfig flags and an engine parameter, 1.7
         # the one concept engine, which dropped LinkerConfig.shards,
         # ShardFailure and the sharded engine's name, 1.8 the one
-        # serving dispatcher, which dropped ServingConfig.batch_wait_ms);
+        # serving dispatcher, which dropped ServingConfig.batch_wait_ms,
+        # 1.9 one engine for every linker, which dropped
+        # LinkerConfig.encoding_cache_size and TenantConfig.cache_budget);
         # the major component is the /v1 route contract.
-        assert api.API_VERSION == "1.8"
+        assert api.API_VERSION == "1.9"
         assert api.API_VERSION.split(".")[0] == "1"
 
     def test_every_exported_name_resolves(self):

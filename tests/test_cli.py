@@ -249,7 +249,7 @@ class TestParser:
         assert args.func.__name__ == "_cmd_serve"
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.cache_size == 4096
+        assert not hasattr(args, "cache_size")
         assert args.max_batch_size == 8
         assert not hasattr(args, "batch_wait_ms")
         assert args.request_timeout == 30.0
@@ -257,13 +257,21 @@ class TestParser:
 
     def test_serve_overrides(self):
         args = build_parser().parse_args(
-            ["serve", "--model", "m/", "--port", "0", "--cache-size", "0",
+            ["serve", "--model", "m/", "--port", "0",
              "--max-batch-size", "32", "--no-warm"]
         )
         assert args.port == 0
-        assert args.cache_size == 0
         assert args.max_batch_size == 32
         assert args.no_warm is True
+
+    def test_serve_refuses_removed_cache_size_by_name(self, capsys):
+        # API 1.9 removed the encoding LRU caches the flag sized.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(
+                ["serve", "--model", "m/", "--cache-size", "0"]
+            )
+        assert info.value.code == 2
+        assert "--cache-size" in capsys.readouterr().err
 
     def test_serve_requires_model(self):
         with pytest.raises(SystemExit):

@@ -106,7 +106,7 @@ class TestEndToEnd:
         assert len(resolved) == len(pooled)
         # Incremental retraining consumes the feedback.
         trainer.continue_training(resolved, epochs=2)
-        linker.invalidate_cache()
+        linker.swap_engine(linker.model, None)  # recompile for new weights
         result = linker.link(pooled[0].text)
         assert result.ranked  # pipeline still healthy after retrain
 

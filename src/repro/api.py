@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 #: surface grows compatibly, the major when anything is removed or
 #: changes shape.  ``tools/check_api.py`` pins the exported surface to
 #: this value.
-API_VERSION = "1.9"
+API_VERSION = "1.10"
 
 #: Lazily resolved re-exports: public name → (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {
@@ -44,7 +44,6 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "ComAidConfig": ("repro.core.config", "ComAidConfig"),
     "TrainingConfig": ("repro.core.config", "TrainingConfig"),
     "LinkerConfig": ("repro.core.config", "LinkerConfig"),
-    "RetrievalConfig": ("repro.core.config", "RetrievalConfig"),
     "ServingConfig": ("repro.core.config", "ServingConfig"),
     "LifecycleConfig": ("repro.core.config", "LifecycleConfig"),
     "RuntimeConfig": ("repro.core.config", "RuntimeConfig"),
@@ -352,11 +351,12 @@ def compile_artifact(
     Encodes every fine-grained concept once (encoder states, structure
     memories, Phase-I index documents + global TF-IDF statistics) into
     a versioned, checksummed directory; see
-    :mod:`repro.engine.compile`.  ``index`` additionally compiles the
-    sublinear retrieval indexes (``"sparse"``, ``"dense"`` or
-    ``"both"``; the default ``"none"`` keeps the pre-retrieval
-    content) — required for the ``dense``/``hybrid`` modes of
-    :class:`RetrievalConfig`.  Returns the artifact path.
+    :mod:`repro.engine.compile`.  ``index`` names the retrieval index
+    files compiled alongside (``"sparse"``, ``"dense"`` or ``"both"``;
+    the default ``"none"`` keeps the pre-retrieval content).  A sparse
+    index spares ``exact`` retrieval its in-memory freeze at load; a
+    dense index is required for ``LinkerConfig.retrieval_mode``
+    ``"hybrid"``.  Returns the artifact path.
     """
     from repro.engine.compile import compile_artifact as _compile
 

@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import (
+    RETRIEVAL_MODES,
     SHED_POLICIES,
     ComAidConfig,
     LinkerConfig,
@@ -141,11 +142,7 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
     if getattr(args, "artifact_dir", None) is not None:
         linker_overrides["artifact_dir"] = args.artifact_dir
     if getattr(args, "retrieval_mode", None) is not None:
-        import dataclasses
-
-        linker_overrides["retrieval"] = dataclasses.replace(
-            runtime.linker.retrieval, mode=args.retrieval_mode
-        )
+        linker_overrides["retrieval_mode"] = args.retrieval_mode
     if linker_overrides:
         runtime = runtime.replace_section("linker", **linker_overrides)
     if hasattr(args, "host"):  # serve-only flags
@@ -844,9 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     link.add_argument(
         "--retrieval-mode",
-        choices=["exact", "sparse", "dense", "hybrid"], default=None,
-        help="Phase-I retrieval strategy (non-exact modes require "
-        "--artifact-dir; dense/hybrid need `repro compile --index`)",
+        choices=RETRIEVAL_MODES, default=None,
+        help="Phase-I retrieval strategy (hybrid requires --artifact-dir "
+        "compiled with `repro compile --index dense` or both)",
     )
     link.add_argument("queries", nargs="+", help="query text(s)")
     link.set_defaults(func=_cmd_link)
@@ -933,9 +930,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--retrieval-mode",
-        choices=["exact", "sparse", "dense", "hybrid"], default=None,
-        help="Phase-I retrieval strategy (non-exact modes require "
-        "--artifact-dir; dense/hybrid need `repro compile --index`)",
+        choices=RETRIEVAL_MODES, default=None,
+        help="Phase-I retrieval strategy (hybrid requires --artifact-dir "
+        "compiled with `repro compile --index dense` or both)",
     )
     serve.add_argument(
         "--max-batch-size", type=int,

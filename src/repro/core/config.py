@@ -14,7 +14,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Mapping, Optional, Union
+from typing import Any, ClassVar, Dict, Iterable, Mapping, Optional, Union
 
 from repro.utils.errors import ConfigurationError
 
@@ -22,82 +22,34 @@ from repro.utils.errors import ConfigurationError
 PAPER_DEFAULTS: Dict[str, int] = {"k": 20, "beta": 2, "d": 150}
 
 #: Phase-I retrieval modes (see :mod:`repro.retrieval`).
-RETRIEVAL_MODES = ("exact", "sparse", "dense", "hybrid")
-
-#: Score-fusion methods for hybrid retrieval.
-FUSION_METHODS = ("weighted_sum", "rrf")
+RETRIEVAL_MODES = ("exact", "hybrid")
 
 #: Admission-queue overload policies for the multi-process front-end.
 SHED_POLICIES = ("reject_new", "drop_oldest")
 
+#: Keys removed from a config section, with what replaced them.
+#: ``RuntimeConfig`` names the successor instead of a bare "unknown key".
+_REMOVED_KEYS: Dict[str, Dict[str, str]] = {
+    "linker": {
+        "retrieval": (
+            f"use retrieval_mode, one of {RETRIEVAL_MODES}; nprobe and "
+            "the fusion settings are fixed since API 1.10"
+        ),
+    },
+}
 
-@dataclass(frozen=True)
-class RetrievalConfig:
-    """Phase-I retrieval strategy (:mod:`repro.retrieval`).
 
-    Attributes
-    ----------
-    mode:
-        ``exact`` — the TF-IDF scan (the default and the
-        reference path; rankings identical to every release before the
-        retrieval subsystem existed).  ``sparse`` — the array-backed
-        inverted index (bit-identical hits, sublinear constant
-        factors).  ``dense`` — the IVF ANN probe over precompiled
-        concept encodings.  ``hybrid`` — sparse ∪ dense with score
-        fusion.  Non-exact modes need a compiled artifact
-        (``LinkerConfig.artifact_dir``); dense/hybrid additionally need
-        the artifact compiled with ``repro compile --index``.
-    nprobe:
-        Clusters the dense side probes per query.  More clusters, more
-        of the corpus scanned: recall and cost both rise roughly
-        linearly in ``nprobe``.
-    fusion_weight:
-        ``w ∈ [0, 1]`` blending sparse (w) against dense (1−w) in
-        hybrid mode; 1 ranks purely by TF-IDF cosine, 0 purely by
-        embedding cosine.
-    fusion_method:
-        ``weighted_sum`` fuses the calibrated scores directly;
-        ``rrf`` (the default) fuses reciprocal ranks — robust when the
-        two score distributions are incomparable, and the setting that
-        holds recall@64 >= 0.98 against the exact scan in the 100k
-        benchmark (``BENCH_retrieval.json``).
-    max_postings_per_term:
-        Sparse-mode early termination: scan only this many
-        highest-impact postings per query term (0 = exact, the
-        default).  An approximation knob — it voids the bit-identity
-        guarantee for very common terms.
+def check_retrieval_mode(mode: str, owner: str = "retrieval_mode") -> None:
+    """Refuse a Phase-I retrieval mode outside :data:`RETRIEVAL_MODES`.
+
+    ``sparse`` and ``dense`` were removed in API 1.10: ``exact``
+    already searches the inverted index ``sparse`` did, and ``dense``
+    alone was less accurate and slower than ``exact``.
     """
-
-    mode: str = "exact"
-    nprobe: int = 8
-    fusion_weight: float = 0.95
-    fusion_method: str = "rrf"
-    max_postings_per_term: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in RETRIEVAL_MODES:
-            raise ConfigurationError(
-                f"retrieval mode must be one of {RETRIEVAL_MODES}, got "
-                f"{self.mode!r}"
-            )
-        if self.nprobe < 1:
-            raise ConfigurationError(
-                f"nprobe must be >= 1, got {self.nprobe}"
-            )
-        if not 0.0 <= self.fusion_weight <= 1.0:
-            raise ConfigurationError(
-                f"fusion_weight must be in [0, 1], got {self.fusion_weight}"
-            )
-        if self.fusion_method not in FUSION_METHODS:
-            raise ConfigurationError(
-                f"fusion_method must be one of {FUSION_METHODS}, got "
-                f"{self.fusion_method!r}"
-            )
-        if self.max_postings_per_term < 0:
-            raise ConfigurationError(
-                "max_postings_per_term must be >= 0 (0 = exact), got "
-                f"{self.max_postings_per_term}"
-            )
+    if mode not in RETRIEVAL_MODES:
+        raise ConfigurationError(
+            f"{owner} must be one of {RETRIEVAL_MODES}, got {mode!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -248,11 +200,13 @@ class LinkerConfig:
         memory at construction.  Either way it serves Phase I/II from
         precomputed state via the concept engine
         (:mod:`repro.engine.concept_engine`).
-    retrieval:
-        Phase-I retrieval strategy (:class:`RetrievalConfig`).  The
-        default ``mode="exact"`` preserves the pre-subsystem scan
-        bit-for-bit; sparse/dense/hybrid switch to the sublinear
-        indexes (see :mod:`repro.retrieval`).
+    retrieval_mode:
+        Phase-I retrieval strategy (:data:`RETRIEVAL_MODES`).
+        ``exact`` (the default) searches the one TF-IDF inverted index,
+        whose hits are bit-identical to the reference scan; ``hybrid``
+        fuses it with the compiled dense index (see
+        :mod:`repro.retrieval`) and requires ``artifact_dir``, compiled
+        with ``repro compile --index dense`` or ``both``.
     mmap_artifact:
         Map the compiled artifact's slab read-only (``load_artifact(...,
         mmap=True)``) instead of copying it into anonymous memory.  N
@@ -271,23 +225,11 @@ class LinkerConfig:
     phase2_budget_s: float = 0.0
     degrade_on_error: bool = True
     artifact_dir: Optional[str] = None
-    retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
+    retrieval_mode: str = "exact"
     mmap_artifact: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.retrieval, Mapping):
-            try:
-                coerced = RetrievalConfig(**self.retrieval)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"invalid retrieval config: {exc}"
-                ) from exc
-            object.__setattr__(self, "retrieval", coerced)
-        if not isinstance(self.retrieval, RetrievalConfig):
-            raise ConfigurationError(
-                "retrieval must be a RetrievalConfig or a mapping, got "
-                f"{type(self.retrieval).__name__}"
-            )
+        check_retrieval_mode(self.retrieval_mode)
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if self.mmap_artifact and self.artifact_dir is None:
@@ -296,11 +238,11 @@ class LinkerConfig:
                 "concept artifact has an mmap-able slab; run "
                 "`repro compile` first)"
             )
-        if self.retrieval.mode != "exact" and self.artifact_dir is None:
+        if self.retrieval_mode == "hybrid" and self.artifact_dir is None:
             raise ConfigurationError(
-                f"retrieval mode {self.retrieval.mode!r} requires "
-                "artifact_dir (the sublinear indexes serve a compiled "
-                "concept artifact; run `repro compile` first)"
+                "retrieval_mode 'hybrid' requires artifact_dir (the dense "
+                "index is compiled into a concept artifact; run `repro "
+                "compile` first)"
             )
         if self.edit_distance_max < 0:
             raise ConfigurationError(
@@ -609,7 +551,7 @@ class TenantConfig:
         compile``); None builds it in memory when the tenant loads.
     retrieval_mode:
         Phase-I retrieval strategy for this tenant (see
-        :class:`RetrievalConfig`; non-exact modes require
+        ``LinkerConfig.retrieval_mode``; ``hybrid`` requires
         ``artifact_dir``).
     k:
         Per-tenant candidate set size; 0 inherits the deployment's
@@ -631,16 +573,11 @@ class TenantConfig:
     warm_on_load: bool = False
 
     def __post_init__(self) -> None:
-        if self.retrieval_mode not in RETRIEVAL_MODES:
+        check_retrieval_mode(self.retrieval_mode, "tenant retrieval_mode")
+        if self.retrieval_mode == "hybrid" and self.artifact_dir is None:
             raise ConfigurationError(
-                f"tenant retrieval_mode must be one of {RETRIEVAL_MODES}, "
-                f"got {self.retrieval_mode!r}"
-            )
-        if self.retrieval_mode != "exact" and self.artifact_dir is None:
-            raise ConfigurationError(
-                f"tenant retrieval_mode {self.retrieval_mode!r} requires "
-                "artifact_dir (the sublinear indexes serve a compiled "
-                "concept artifact)"
+                "tenant retrieval_mode 'hybrid' requires artifact_dir (the "
+                "dense index is compiled into a concept artifact)"
             )
         if self.k < 0:
             raise ConfigurationError(
@@ -662,9 +599,7 @@ class TenantConfig:
         """
         overrides: Dict[str, Any] = {
             "artifact_dir": self.artifact_dir,
-            "retrieval": dataclasses.replace(
-                base.retrieval, mode=self.retrieval_mode
-            ),
+            "retrieval_mode": self.retrieval_mode,
             # mmap only makes sense over a compiled artifact.
             "mmap_artifact": base.mmap_artifact and self.artifact_dir is not None,
         }
@@ -759,6 +694,25 @@ class TenancyConfig:
         return bool(self.definitions)
 
 
+def _check_keys(section: str, section_cls: type, keys: Iterable[str]) -> None:
+    """Refuse keys ``section_cls`` does not define, naming each one (and
+    the successor of a removed one)."""
+    valid = {f.name for f in dataclasses.fields(section_cls)}
+    unknown_keys = sorted(set(keys) - valid)
+    if not unknown_keys:
+        return
+    removed = _REMOVED_KEYS.get(section, {})
+    hints = "".join(
+        f"; {key!r} was removed: {removed[key]}"
+        for key in unknown_keys
+        if key in removed
+    )
+    raise ConfigurationError(
+        f"unknown key(s) {unknown_keys} in config section {section!r}"
+        f"{hints}; valid keys are {sorted(valid)}"
+    )
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """The six configuration sections behind one typed envelope.
@@ -825,13 +779,7 @@ class RuntimeConfig:
                     f"config section {section!r} must be a mapping, got "
                     f"{type(body).__name__}"
                 )
-            valid = {f.name for f in dataclasses.fields(section_cls)}
-            unknown_keys = sorted(set(body) - valid)
-            if unknown_keys:
-                raise ConfigurationError(
-                    f"unknown key(s) {unknown_keys} in config section "
-                    f"{section!r}; valid keys are {sorted(valid)}"
-                )
+            _check_keys(section, section_cls, body)
             built[section] = section_cls(**body)
         return cls(**built)
 
@@ -871,13 +819,6 @@ class RuntimeConfig:
                 f"unknown config section {section!r}; valid sections are "
                 f"{sorted(self.SECTIONS)}"
             )
-        section_cls = self.SECTIONS[section]
-        valid = {f.name for f in dataclasses.fields(section_cls)}
-        unknown_keys = sorted(set(overrides) - valid)
-        if unknown_keys:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown_keys} in config section "
-                f"{section!r}; valid keys are {sorted(valid)}"
-            )
+        _check_keys(section, self.SECTIONS[section], overrides)
         updated = dataclasses.replace(getattr(self, section), **overrides)
         return dataclasses.replace(self, **{section: updated})

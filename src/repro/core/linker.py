@@ -267,7 +267,10 @@ class NeuralConceptLinker:
                     "recompile or align the config"
                 )
         return ConceptEngine(
-            model, self.ontology, artifact, retrieval=config.retrieval
+            model,
+            self.ontology,
+            artifact,
+            retrieval_mode=config.retrieval_mode,
         )
 
     def _derive_from_engine(self) -> None:

@@ -468,8 +468,7 @@ def compile_artifact(
     Each compiled retrieval index file (``index``, see
     :func:`build_artifact`) carries its own sha256 in the header's
     ``retrieval`` section, verified again at load; without a dense
-    index the non-exact retrieval modes that need one refuse at engine
-    start.
+    index ``hybrid`` retrieval refuses at engine start.
     """
     artifact = build_artifact(
         model,

@@ -8,8 +8,8 @@ two hot paths entirely from precomputed state:
 * Phase I — one TF-IDF inverted index
   (:class:`~repro.core.candidates.CandidateGenerator`) over the
   artifact's frozen documents — the artifact's precompiled index when
-  it has one — which the non-exact retrieval modes
-  (:mod:`repro.retrieval`) share as their sparse side;
+  it has one — which ``hybrid`` retrieval (:mod:`repro.retrieval`)
+  shares as its sparse side;
 * Phase II — one lock-step decode
   (:meth:`repro.core.comaid.ComAid.score_from_starts`) per batch on
   the calling thread, gathering each row's memories by
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.comaid import ComAid, ConceptMemory
-from repro.core.config import RetrievalConfig
+from repro.core.config import check_retrieval_mode
 from repro.engine.compile import ConceptArtifact
 from repro.obs import trace
 from repro.ontology.ontology import Ontology
@@ -57,30 +57,28 @@ class ConceptEngine:
         model: ComAid,
         ontology: Ontology,
         artifact: ConceptArtifact,
-        retrieval: Optional[RetrievalConfig] = None,
+        retrieval_mode: str = "exact",
     ) -> None:
         """Index the artifact's frozen documents.
 
-        ``retrieval`` selects the Phase-I strategy
-        (:class:`repro.core.config.RetrievalConfig`).  ``exact`` (the
-        default) and ``sparse`` search the one inverted index — the
-        artifact's precompiled one, or one frozen from its documents at
-        engine start; ``dense`` and ``hybrid`` add the dense index and
-        require an artifact compiled with ``repro compile --index`` (no
-        fallback — k-means training at startup would hide minutes of
-        latency).
+        ``retrieval_mode`` selects the Phase-I strategy.  ``exact`` (the
+        default) searches the one inverted index — the artifact's
+        precompiled one, or one frozen from its documents at engine
+        start; ``hybrid`` fuses it with the dense index and requires an
+        artifact compiled with ``repro compile --index dense`` or
+        ``both`` (no fallback — k-means training at startup would hide
+        minutes of latency).
         """
+        check_retrieval_mode(retrieval_mode)
         self._model = model
         self._artifact = artifact
         self._candidates = CandidateGenerator.from_documents(
             ontology, artifact.documents, index=artifact.sparse_index
         )
-        self._retrieval = (
-            retrieval if retrieval is not None else RetrievalConfig()
-        )
+        self._mode = retrieval_mode
         self._hybrid: Optional[HybridRetriever] = None
-        if self._retrieval.mode != "exact":
-            self._hybrid = self._build_retriever(self._retrieval)
+        if retrieval_mode == "hybrid":
+            self._hybrid = self._build_retriever()
         self._memory = ConceptMemory(
             artifact.final_h,
             artifact.final_c,
@@ -100,19 +98,16 @@ class ConceptEngine:
         self._lock = threading.Lock()
         self._retrievals = 0
         self._score_batches = 0
-        self._mode_retrievals: Dict[str, int] = {
-            mode: 0 for mode in ("exact", "sparse", "dense", "hybrid")
-        }
 
-    def _build_retriever(self, config: RetrievalConfig) -> HybridRetriever:
-        """The sublinear retriever for non-exact modes, over the same
-        inverted index exact mode searches."""
+    def _build_retriever(self) -> HybridRetriever:
+        """The hybrid retriever, over the same inverted index exact mode
+        searches."""
         dense = self._artifact.dense_index
-        if config.mode in ("dense", "hybrid") and dense is None:
+        if dense is None:
             raise ConfigurationError(
-                f"retrieval mode {config.mode!r} needs a compiled dense "
-                "index but the artifact has none; re-run `repro compile "
-                "--index dense` (or --index both)"
+                "retrieval mode 'hybrid' needs a compiled dense index but "
+                "the artifact has none; re-run `repro compile --index "
+                "dense` (or --index both)"
             )
         model = self._model
 
@@ -122,25 +117,18 @@ class ConceptEngine:
             ids = model.words_to_ids(list(tokens))
             return model.encode_concept(ids, keep_caches=False).final_h
 
-        return HybridRetriever(
-            self._candidates.index,
-            dense,
-            encode_query,
-            nprobe=config.nprobe,
-            fusion_weight=config.fusion_weight,
-            fusion_method=config.fusion_method,
-        )
+        return HybridRetriever(self._candidates.index, dense, encode_query)
 
     # -- introspection ------------------------------------------------------
 
     @property
     def retrieval_mode(self) -> str:
         """The active Phase-I retrieval mode."""
-        return self._retrieval.mode
+        return self._mode
 
     @property
     def retriever(self) -> Optional["HybridRetriever"]:
-        """The sublinear retriever (None in exact mode)."""
+        """The hybrid retriever (None in exact mode)."""
         return self._hybrid
 
     @property
@@ -180,8 +168,7 @@ class ConceptEngine:
                 "concepts": len(self._artifact),
                 "retrievals": self._retrievals,
                 "score_batches": self._score_batches,
-                "retrieval_mode": self._retrieval.mode,
-                "retrievals_by_mode": dict(self._mode_retrievals),
+                "retrieval_mode": self._mode,
                 "mmap": bool(getattr(self._artifact, "mmap", False)),
             }
 
@@ -192,35 +179,23 @@ class ConceptEngine:
     ) -> List[Tuple[str, float]]:
         """Top-``k`` candidates for ``tokens`` under the retrieval mode.
 
-        ``exact`` searches the inverted index; the non-exact modes
-        (``sparse``/``dense``/``hybrid``) answer from the sublinear
-        retriever built over that same index.  Either way the call is
-        one ``engine.retrieve`` span (phase CR, tagged with the mode).
-        A fault propagates.
+        ``exact`` searches the inverted index; ``hybrid`` answers from
+        the hybrid retriever built over that same index.  Either way
+        the call is one ``engine.retrieve`` span (phase CR, tagged with
+        the mode).  A fault propagates.
         """
-        mode = self._retrieval.mode
         with self._lock:
             self._retrievals += 1
-            self._mode_retrievals[mode] += 1
-        with trace.span("engine.retrieve", phase="CR", mode=mode, k=k) as span:
+        with trace.span(
+            "engine.retrieve", phase="CR", mode=self._mode, k=k
+        ) as span:
             probe("engine.retrieve")
             if self._hybrid is None:
                 hits = self._candidates.generate(tokens, k)
-            elif mode == "sparse":
-                hits = [
-                    (match.key, match.score)
-                    for match in self._hybrid.sparse.search(
-                        tokens,
-                        k,
-                        max_postings_per_term=(
-                            self._retrieval.max_postings_per_term
-                        ),
-                    )
-                ]
             else:
                 hits = [
                     (match.key, match.score)
-                    for match in self._hybrid.search(tokens, k, mode=mode)
+                    for match in self._hybrid.search(tokens, k)
                 ]
             span.set_tag("candidates", len(hits))
             return hits

@@ -10,11 +10,12 @@ fine-grained ontology from ``large-scale-like``:
 * ``exact``  — :class:`~repro.text.tfidf.TfIdfIndex.search`, the
   pure-Python posting scan every prior experiment used;
 * ``sparse`` — :class:`~repro.retrieval.inverted.InvertedIndex`,
-  vectorised postings, bit-identical results (audited per query);
-* ``dense``  — :class:`~repro.retrieval.ann.DenseIndex` IVF probe over
-  bag-of-hashed-words document embeddings;
+  vectorised postings, bit-identical results (audited per query) —
+  what the linker's ``exact`` retrieval mode serves;
 * ``hybrid`` — :class:`~repro.retrieval.hybrid.HybridRetriever` fusing
-  both pools, the mode the scale gate targets.
+  the inverted index with a :class:`~repro.retrieval.ann.DenseIndex`
+  IVF probe over bag-of-hashed-words document embeddings, the mode the
+  scale gate targets.
 
 Dense vectors come from a deterministic hashed-bag featurizer rather
 than a trained encoder: encoding 100k concepts through COM-AID is a
@@ -38,13 +39,13 @@ import numpy as np
 from repro.datasets.generator import build_large_scale_ontology, generate_queries
 from repro.eval.reporting import emit, format_table
 from repro.retrieval.ann import DenseIndex
-from repro.retrieval.hybrid import HybridRetriever
+from repro.retrieval.hybrid import FUSION_WEIGHT, NPROBE, HybridRetriever
 from repro.retrieval.inverted import InvertedIndex
 from repro.text.tfidf import TfIdfIndex
 from repro.text.tokenize import tokenize
 from repro.utils.rng import derive_rng, ensure_rng
 
-MODES = ("exact", "sparse", "dense", "hybrid")
+MODES = ("exact", "sparse", "hybrid")
 
 
 def hash_featurizer(dim: int = 32) -> Callable[[Sequence[str]], Optional[np.ndarray]]:
@@ -96,13 +97,10 @@ def run_retrieval_scale(
     k: int = 64,
     query_count: int = 128,
     dim: int = 32,
-    nprobe: int = 8,
-    fusion_weight: float = 0.95,
-    fusion_method: str = "rrf",
     index_seed: int = 0,
     verbose: bool = True,
 ) -> Dict[str, object]:
-    """Exact vs sparse/dense/hybrid retrieval over the 100k ontology.
+    """Exact vs sparse/hybrid retrieval over the 100k ontology.
 
     Returns a JSON-ready report: per-mode CR p50/mean latency and
     recall@``k`` against the exact scan, ``speedup_p50`` ratios, the
@@ -135,14 +133,7 @@ def run_retrieval_scale(
     dense = DenseIndex.train(vectors, seed=index_seed)
     build_seconds["dense_train"] = timer() - start
 
-    retriever = HybridRetriever(
-        sparse,
-        dense,
-        encode,
-        nprobe=nprobe,
-        fusion_weight=fusion_weight,
-        fusion_method=fusion_method,
-    )
+    retriever = HybridRetriever(sparse, dense, encode)
 
     linked = generate_queries(
         ontology,
@@ -153,9 +144,8 @@ def run_retrieval_scale(
 
     searches: Dict[str, Callable[[Sequence[str]], List]] = {
         "exact": lambda tokens: exact.search(tokens, k=k),
-        "sparse": lambda tokens: retriever.search(tokens, k, mode="sparse"),
-        "dense": lambda tokens: retriever.search(tokens, k, mode="dense"),
-        "hybrid": lambda tokens: retriever.search(tokens, k, mode="hybrid"),
+        "sparse": lambda tokens: sparse.search(tokens, k),
+        "hybrid": lambda tokens: retriever.search(tokens, k),
     }
     timings: Dict[str, Dict[str, object]] = {}
     for mode in MODES:
@@ -192,9 +182,8 @@ def run_retrieval_scale(
         "k": k,
         "queries": len(queries),
         "dim": dim,
-        "nprobe": nprobe,
-        "fusion_weight": fusion_weight,
-        "fusion_method": fusion_method,
+        "nprobe": NPROBE,
+        "fusion_weight": FUSION_WEIGHT,
         "cpu_count": os.cpu_count(),
         "concepts": len(documents),
         "n_clusters": dense.n_clusters,
@@ -225,7 +214,7 @@ def run_retrieval_scale(
                 rows,
                 title=(
                     f"Retrieval at scale, {len(documents)} concepts k={k} "
-                    f"({fusion_method}, w={fusion_weight}, nprobe={nprobe})"
+                    f"(rrf, w={FUSION_WEIGHT}, nprobe={NPROBE})"
                 ),
             )
         )

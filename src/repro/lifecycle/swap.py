@@ -134,7 +134,7 @@ class ArtifactSwapper:
                 model,
                 primary.ontology,
                 artifact,
-                retrieval=primary.config.retrieval,
+                retrieval_mode=primary.config.retrieval_mode,
             )
             linker = NeuralConceptLinker(
                 model,

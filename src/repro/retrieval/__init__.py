@@ -11,24 +11,24 @@ the always-available reference path:
 
 * :mod:`repro.retrieval.inverted` — an array-backed inverted index
   with precomputed TF-IDF postings and document norms.  Scoring is
-  vectorised NumPy over impact-ordered posting lists; the cosines (and
-  tie order) of returned hits are **bit-identical** to
-  ``TfIdfIndex.search``, so it can stand in for the exact scan without
-  perturbing a single ranking.  Impact-ordered early termination is
-  available as an opt-in approximation knob.
+  vectorised NumPy over the posting lists; the cosines (and tie order)
+  of returned hits are **bit-identical** to ``TfIdfIndex.search``, so
+  it is the exact scan without perturbing a single ranking.  Every
+  linker's ``exact`` Phase I searches it.
 * :mod:`repro.retrieval.ann` — a pure-NumPy IVF (inverted-file)
   approximate nearest-neighbour index over the artifact's L2-normalised
   concept encoder final states: k-means centroids trained offline at
   ``repro compile`` time, ``nprobe`` nearest clusters probed per query.
-* :mod:`repro.retrieval.hybrid` — the fusion layer: sparse and dense
-  candidate sets are unioned and re-scored with *both* signals
-  (weighted-sum or reciprocal-rank fusion), the flair
+* :mod:`repro.retrieval.hybrid` — the fusion layer behind ``hybrid``
+  retrieval: sparse and dense candidate sets are unioned and re-scored
+  with *both* signals by reciprocal-rank fusion, the flair
   ``BiomedicalEntityLinker`` sparse+dense recipe in miniature.
 
-Mode selection, ``nprobe``, and fusion knobs travel through
-:class:`repro.core.config.RetrievalConfig`;
+``LinkerConfig.retrieval_mode`` selects ``exact`` (the default and the
+correctness oracle) or ``hybrid``;
 :class:`repro.engine.concept_engine.ConceptEngine` dispatches Phase I
-on it (``exact`` remains the default and the correctness oracle).
+on it.  Dense retrieval alone is not a mode: on the perfbench query set
+it was less accurate than ``exact`` and slower (DESIGN.md §5.6).
 """
 
 from repro.retrieval.ann import DenseIndex

@@ -11,16 +11,15 @@ candidate only the sparse side surfaced gets its exact dense cosine
 via one gathered dot product.  Naively scoring missing sides as 0
 would let pool membership, not evidence, decide the ranking.
 
-Two fusion methods:
+The two signals are fused by reciprocal rank,
+``w/(60+r_s) + (1−w)/(60+r_d)``, with ranks computed over the union by
+each signal — robust when the two score distributions are
+incomparable.  ``w`` (:data:`FUSION_WEIGHT`) and the dense probe width
+(:data:`NPROBE`) are fixed: they are the settings that hold recall@64
+>= 0.98 against the exact scan in the 100k benchmark
+(``BENCH_retrieval.json``).
 
-* ``weighted_sum`` — ``w·cos_sparse + (1−w)·(cos_dense+1)/2``; both
-  signals on a [0, 1] scale, ``w`` (``fusion_weight``) sliding between
-  dense-only (0) and sparse-only (1).
-* ``rrf`` — reciprocal-rank fusion ``w/(60+r_s) + (1−w)/(60+r_d)``
-  with ranks computed over the union by each signal; robust when the
-  two score distributions are incomparable.
-
-Ties always break on document position, so every mode is
+Ties always break on document position, so the ranking is
 deterministic.
 """
 
@@ -35,11 +34,14 @@ from repro.retrieval.inverted import InvertedIndex
 from repro.text.tfidf import TfIdfMatch
 from repro.utils.errors import ConfigurationError
 
-#: Fusion methods ``fuse_candidates`` understands.
-FUSION_METHODS = ("weighted_sum", "rrf")
-
 #: The RRF dampening constant (the literature-standard 60).
 RRF_K = 60
+
+#: RRF weight of the sparse ranks; the dense ranks get ``1 − w``.
+FUSION_WEIGHT = 0.95
+
+#: IVF clusters the dense side probes per query.
+NPROBE = 8
 
 #: How many candidates each side contributes to the union, as a
 #: multiple of the requested k — slack so documents near the cut line
@@ -59,34 +61,19 @@ def fuse_candidates(
     positions: np.ndarray,
     sparse_scores: np.ndarray,
     dense_scores: np.ndarray,
-    fusion_weight: float = 0.5,
-    method: str = "weighted_sum",
 ) -> np.ndarray:
-    """Fused scores for union candidates scored by both signals.
+    """Reciprocal-rank-fused scores for union candidates.
 
     ``positions`` are the union's document positions; ``sparse_scores``
-    are exact TF-IDF cosines in [0, 1]; ``dense_scores`` are exact
-    embedding cosines in [−1, 1].  Returns one fused score per
-    candidate (higher is better); the caller ranks on
-    ``(-fused, position)``.
+    are exact TF-IDF cosines and ``dense_scores`` exact embedding
+    cosines, one per candidate.  Returns one fused score per candidate
+    (higher is better); the caller ranks on ``(-fused, position)``.
     """
-    if not 0.0 <= fusion_weight <= 1.0:
-        raise ConfigurationError(
-            f"fusion_weight must be in [0, 1], got {fusion_weight}"
-        )
-    if method == "weighted_sum":
-        return fusion_weight * sparse_scores + (1.0 - fusion_weight) * (
-            (dense_scores + 1.0) / 2.0
-        )
-    if method == "rrf":
-        sparse_ranks = _ranks(positions, sparse_scores)
-        dense_ranks = _ranks(positions, dense_scores)
-        return fusion_weight / (RRF_K + 1 + sparse_ranks) + (
-            1.0 - fusion_weight
-        ) / (RRF_K + 1 + dense_ranks)
-    raise ConfigurationError(
-        f"unknown fusion method {method!r} (expected one of {FUSION_METHODS})"
-    )
+    sparse_ranks = _ranks(positions, sparse_scores)
+    dense_ranks = _ranks(positions, dense_scores)
+    return FUSION_WEIGHT / (RRF_K + 1 + sparse_ranks) + (
+        1.0 - FUSION_WEIGHT
+    ) / (RRF_K + 1 + dense_ranks)
 
 
 class HybridRetriever:
@@ -97,8 +84,8 @@ class HybridRetriever:
     same concept (both follow the compiled artifact's concept order).
     ``encode_query`` maps query tokens to a dense query vector — the
     same encoder the concept vectors came from — and may return ``None``
-    when a query cannot be encoded, in which case dense and hybrid
-    searches degrade to the sparse answer.
+    when a query cannot be encoded, in which case the search degrades
+    to the sparse answer.
     """
 
     def __init__(
@@ -108,32 +95,15 @@ class HybridRetriever:
         encode_query: Optional[
             Callable[[Sequence[str]], Optional[np.ndarray]]
         ] = None,
-        nprobe: int = 8,
-        fusion_weight: float = 0.5,
-        fusion_method: str = "weighted_sum",
     ) -> None:
         if dense is not None and len(dense) != len(sparse):
             raise ConfigurationError(
                 f"sparse index has {len(sparse)} documents but dense index "
                 f"has {len(dense)} vectors — they must cover the same corpus"
             )
-        if fusion_method not in FUSION_METHODS:
-            raise ConfigurationError(
-                f"unknown fusion method {fusion_method!r} "
-                f"(expected one of {FUSION_METHODS})"
-            )
-        if not 0.0 <= fusion_weight <= 1.0:
-            raise ConfigurationError(
-                f"fusion_weight must be in [0, 1], got {fusion_weight}"
-            )
-        if nprobe < 1:
-            raise ConfigurationError(f"nprobe must be >= 1, got {nprobe}")
         self._sparse = sparse
         self._dense = dense
         self._encode_query = encode_query
-        self._nprobe = nprobe
-        self._fusion_weight = fusion_weight
-        self._fusion_method = fusion_method
         self._keys = sparse.keys
 
     # -- introspection --------------------------------------------------
@@ -143,60 +113,23 @@ class HybridRetriever:
         """The sparse (inverted TF-IDF) side."""
         return self._sparse
 
-    @property
-    def dense(self) -> Optional[DenseIndex]:
-        """The dense (IVF ANN) side, when compiled."""
-        return self._dense
-
     def __len__(self) -> int:
         return len(self._keys)
 
     # -- retrieval ------------------------------------------------------
 
-    def search(
-        self, tokens: Sequence[str], k: int, mode: str = "hybrid"
-    ) -> List[TfIdfMatch]:
-        """Top-``k`` candidates under ``mode`` (sparse|dense|hybrid)."""
-        if mode == "sparse":
-            return self.search_sparse(tokens, k)
-        if mode == "dense":
-            return self.search_dense(tokens, k)
-        if mode == "hybrid":
-            return self.search_hybrid(tokens, k)
-        raise ConfigurationError(
-            f"unknown retrieval mode {mode!r} "
-            "(expected 'sparse', 'dense' or 'hybrid')"
-        )
+    def search(self, tokens: Sequence[str], k: int) -> List[TfIdfMatch]:
+        """Fused top-``k``: union both pools, re-score with both signals.
 
-    def search_sparse(self, tokens: Sequence[str], k: int) -> List[TfIdfMatch]:
-        """Sparse-only top-``k`` (bit-identical to the exact scan)."""
-        return self._sparse.search(tokens, k)
-
-    def search_dense(self, tokens: Sequence[str], k: int) -> List[TfIdfMatch]:
-        """Dense-only top-``k`` (IVF cluster probe), sparse fallback.
-
-        Scores are embedding cosines in [−1, 1] — a different scale
-        from sparse TF-IDF cosines, comparable within a ranking but
-        not across modes.
+        Falls back to the sparse answer when the query has no dense
+        vector (or no dense index is attached).
         """
-        query = self._query_vector(tokens)
-        if query is None:
-            return self._sparse.search(tokens, k)
-        return [
-            TfIdfMatch(key=self._keys[position], score=sim)
-            for position, sim in self._dense.search(
-                query, k, nprobe=self._nprobe
-            )
-        ]
-
-    def search_hybrid(self, tokens: Sequence[str], k: int) -> List[TfIdfMatch]:
-        """Fused top-``k``: union both pools, re-score with both signals."""
         query = self._query_vector(tokens)
         if query is None:
             return self._sparse.search(tokens, k)
         pool = max(k, POOL_MULTIPLIER * k)
         sparse_result = self._sparse.search_scored(tokens, pool)
-        dense_pairs = self._dense.search(query, pool, nprobe=self._nprobe)
+        dense_pairs = self._dense.search(query, pool, nprobe=NPROBE)
         dense_positions = np.asarray(
             [position for position, _ in dense_pairs], dtype=np.int64
         )
@@ -205,13 +138,7 @@ class HybridRetriever:
             return []
         sparse_scores = sparse_result.cosine_of(union)
         dense_scores = self._dense.similarities_of(query, union)
-        fused = fuse_candidates(
-            union,
-            sparse_scores,
-            dense_scores,
-            fusion_weight=self._fusion_weight,
-            method=self._fusion_method,
-        )
+        fused = fuse_candidates(union, sparse_scores, dense_scores)
         order = np.lexsort((union, -fused))[:k]
         return [
             TfIdfMatch(

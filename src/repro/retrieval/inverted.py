@@ -16,12 +16,11 @@ equal element-for-element.  The property suite
 (``tests/retrieval/test_inverted.py``) holds this over randomized
 corpora.
 
-Posting lists are stored impact-ordered (weight descending) — harmless
-for exact scoring, since per-term accumulation is element-wise — which
-makes early termination a slice: ``max_postings_per_term`` caps each
-term's scan to its highest-impact postings (a WAND-flavoured
-approximation; opt-in, off by default, and excluded from the
-bit-identity guarantee).
+Posting lists are stored impact-ordered (weight descending).  Exact
+scoring does not need that order — per-term accumulation is
+element-wise — but it is the layout of every compiled
+``index_sparse.npz``, so freezing the same way keeps a recompiled
+artifact byte-identical to one written before.
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ class InvertedIndex:
             )
             # Impact order (weight descending, doc id breaking ties):
             # harmless for exact scoring — per-term accumulation is
-            # element-wise — and it turns early termination into a
-            # prefix slice.
+            # element-wise — and the compiled index_sparse.npz layout,
+            # which this order keeps byte-stable.
             order = np.lexsort((docs, -weights))
             doc_blocks.append(docs[order])
             weight_blocks.append(weights[order])
@@ -190,31 +189,15 @@ class InvertedIndex:
         norm = math.sqrt(sum(weight * weight for weight in weights.values()))
         return weights, norm
 
-    def search(
-        self,
-        tokens: Sequence[str],
-        k: int = 10,
-        max_postings_per_term: int = 0,
-    ) -> List[TfIdfMatch]:
+    def search(self, tokens: Sequence[str], k: int = 10) -> List[TfIdfMatch]:
         """Top-``k`` hits — the exact scan's answer, as it types it.
 
-        With ``max_postings_per_term`` 0 (the default) the result is
-        bit-identical to ``TfIdfIndex.search`` over the same documents:
-        same hit set, same order, same float scores.  A positive value
-        scans only that many highest-impact postings per term — an
-        approximation that trades recall on very common terms for
-        bounded per-term work.
+        Bit-identical to ``TfIdfIndex.search`` over the same documents:
+        same hit set, same order, same float scores.
         """
-        return self.search_scored(
-            tokens, k, max_postings_per_term=max_postings_per_term
-        ).hits
+        return self.search_scored(tokens, k).hits
 
-    def search_scored(
-        self,
-        tokens: Sequence[str],
-        k: int = 10,
-        max_postings_per_term: int = 0,
-    ) -> SparseHits:
+    def search_scored(self, tokens: Sequence[str], k: int = 10) -> SparseHits:
         """:meth:`search` plus the whole-corpus scorer for fusion."""
         if not self._fitted:
             raise NotFittedError("InvertedIndex.search called before build")
@@ -231,8 +214,6 @@ class InvertedIndex:
                 continue
             lo = int(self._offsets[slot])
             hi = int(self._offsets[slot + 1])
-            if max_postings_per_term > 0:
-                hi = min(hi, lo + max_postings_per_term)
             # Each document appears at most once per term, so this
             # fancy-index add is the scalar loop's accumulation,
             # vectorised; weight products and sums run in the same

@@ -5,8 +5,9 @@ import pytest
 from repro.core.config import (
     PAPER_DEFAULTS,
     ComAidConfig,
+    RETRIEVAL_MODES,
     LinkerConfig,
-    RetrievalConfig,
+    RuntimeConfig,
     TrainingConfig,
 )
 from repro.utils.errors import ConfigurationError
@@ -80,42 +81,46 @@ class TestLinkerConfig:
 
 class TestRetrievalConfig:
     def test_exact_is_the_default(self):
-        config = RetrievalConfig()
-        assert config.mode == "exact"
-        assert LinkerConfig().retrieval == config
+        assert RETRIEVAL_MODES == ("exact", "hybrid")
+        assert LinkerConfig().retrieval_mode == "exact"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(mode="fuzzy"),
-            dict(nprobe=0),
-            dict(fusion_weight=1.5),
-            dict(fusion_weight=-0.1),
-            dict(fusion_method="borda"),
-            dict(max_postings_per_term=-1),
+            dict(retrieval_mode="fuzzy"),
+            dict(retrieval_mode="sparse", artifact_dir="a/"),
+            dict(retrieval_mode="dense", artifact_dir="a/"),
+            dict(retrieval_mode="Hybrid", artifact_dir="a/"),
+            dict(retrieval_mode=""),
+            dict(retrieval_mode="hybrid"),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
-            RetrievalConfig(**kwargs)
+            LinkerConfig(**kwargs)
 
-    def test_mapping_coerces_in_linker_config(self):
-        config = LinkerConfig(
-            artifact_dir="a/", retrieval={"mode": "hybrid", "nprobe": 4}
-        )
-        assert isinstance(config.retrieval, RetrievalConfig)
-        assert config.retrieval.mode == "hybrid"
-        assert config.retrieval.nprobe == 4
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_removed_modes_refused_by_name(self, mode):
+        # API 1.10 deleted the sparse and dense modes.
+        with pytest.raises(ConfigurationError) as info:
+            RuntimeConfig.from_dict(
+                {"linker": {"retrieval_mode": mode, "artifact_dir": "a/"}}
+            )
+        assert (
+            f"retrieval_mode must be one of ('exact', 'hybrid'), got {mode!r}"
+        ) in str(info.value)
 
     def test_unknown_mapping_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="retrieval"):
-            LinkerConfig(artifact_dir="a/", retrieval={"knob": 1})
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LinkerConfig(retrieval="hybrid")
+        # The API <= 1.9 ``retrieval`` mapping names its successor.
+        with pytest.raises(ConfigurationError) as info:
+            RuntimeConfig.from_dict(
+                {"linker": {"retrieval": {"mode": "hybrid", "nprobe": 4}}}
+            )
+        message = str(info.value)
+        assert "['retrieval']" in message
+        assert "use retrieval_mode, one of ('exact', 'hybrid')" in message
 
     def test_non_exact_requires_artifact_dir(self):
         with pytest.raises(ConfigurationError, match="artifact_dir"):
-            LinkerConfig(retrieval={"mode": "sparse"})
-        LinkerConfig(artifact_dir="a/", retrieval={"mode": "sparse"})  # fine
+            LinkerConfig(retrieval_mode="hybrid")
+        LinkerConfig(artifact_dir="a/", retrieval_mode="hybrid")  # fine

@@ -47,17 +47,14 @@ class TestRoundTrip:
 
     def test_nested_retrieval_round_trips(self):
         runtime = RuntimeConfig(
-            linker=LinkerConfig(
-                artifact_dir="a/",
-                retrieval={"mode": "hybrid", "fusion_method": "rrf"},
-            )
+            linker=LinkerConfig(artifact_dir="a/", retrieval_mode="hybrid")
         )
         payload = runtime.to_dict()
-        assert payload["linker"]["retrieval"]["mode"] == "hybrid"
+        assert payload["linker"]["retrieval_mode"] == "hybrid"
         json.dumps(payload)
         restored = RuntimeConfig.from_dict(payload)
         assert restored == runtime
-        assert restored.linker.retrieval.fusion_method == "rrf"
+        assert restored.linker.retrieval_mode == "hybrid"
 
 
 class TestRejection:

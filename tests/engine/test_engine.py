@@ -56,14 +56,16 @@ class TestOneIndex:
             is in_memory.engine.artifact.sparse_index
         )
 
-    def test_sparse_mode_shares_the_exact_index(self, engine_stack):
-        ontology, kb, model, artifact_dir = engine_stack
+    def test_hybrid_mode_shares_the_exact_index(self, engine_stack, tmp_path):
+        ontology, kb, model, _ = engine_stack
+        artifact_dir = compile_artifact(
+            tmp_path / "artifact", model, ontology, kb=kb, index="dense"
+        )
         linker = NeuralConceptLinker(
             model,
             ontology,
             LinkerConfig(
-                k=5, artifact_dir=str(artifact_dir),
-                retrieval={"mode": "sparse"},
+                k=5, artifact_dir=str(artifact_dir), retrieval_mode="hybrid"
             ),
             kb=kb,
         )

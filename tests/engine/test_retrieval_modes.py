@@ -5,7 +5,6 @@ import shutil
 
 import pytest
 
-from repro.core.config import RetrievalConfig
 from repro.core.persistence import write_manifest
 from repro.engine.compile import (
     ARTIFACT_FILE,
@@ -14,6 +13,7 @@ from repro.engine.compile import (
     load_artifact,
 )
 from repro.engine.concept_engine import ConceptEngine
+from repro.text.tfidf import TfIdfIndex
 from repro.text.tokenize import tokenize
 from repro.utils.errors import ConfigurationError, DataError
 
@@ -32,14 +32,9 @@ def indexed_stack(engine_stack, tmp_path_factory):
     return ontology, kb, model, directory, artifact
 
 
-def make_engine(stack, mode, **knobs):
+def make_engine(stack, mode):
     ontology, _, model, _, artifact = stack
-    return ConceptEngine(
-        model,
-        ontology,
-        artifact,
-        retrieval=RetrievalConfig(mode=mode, **knobs),
-    )
+    return ConceptEngine(model, ontology, artifact, retrieval_mode=mode)
 
 
 class TestCompiledIndexes:
@@ -78,22 +73,30 @@ class TestCompiledIndexes:
 
 
 class TestEngineModes:
-    def test_sparse_mode_is_bit_identical_to_exact(self, indexed_stack):
+    def test_exact_mode_is_bit_identical_to_the_reference_scan(
+        self, indexed_stack
+    ):
+        """Exact mode over the compiled inverted index answers as the
+        pure-Python TF-IDF scan over the artifact's documents."""
+        _, _, _, _, artifact = indexed_stack
+        reference = TfIdfIndex().fit(artifact.documents)
         exact = make_engine(indexed_stack, "exact")
-        sparse = make_engine(indexed_stack, "sparse")
+        assert exact.candidates.index is artifact.sparse_index
         for query in ENGINE_QUERIES:
             tokens = tokenize(query)
-            assert sparse.retrieve(tokens, 5) == exact.retrieve(tokens, 5)
+            assert exact.retrieve(tokens, 5) == [
+                (match.key, match.score)
+                for match in reference.search(tokens, k=5)
+            ]
 
-    def test_dense_and_hybrid_return_indexed_cids(self, indexed_stack):
+    def test_hybrid_returns_indexed_cids(self, indexed_stack):
         _, _, _, _, artifact = indexed_stack
-        for mode in ("dense", "hybrid"):
-            engine = make_engine(indexed_stack, mode)
-            hits = engine.retrieve(tokenize("anemia blood loss"), 5)
-            assert hits
-            assert all(cid in artifact for cid, _ in hits)
-            scores = [score for _, score in hits]
-            assert scores == sorted(scores, reverse=True)
+        engine = make_engine(indexed_stack, "hybrid")
+        hits = engine.retrieve(tokenize("anemia blood loss"), 5)
+        assert hits
+        assert all(cid in artifact for cid, _ in hits)
+        scores = [score for _, score in hits]
+        assert scores == sorted(scores, reverse=True)
 
     def test_mode_counters(self, indexed_stack):
         engine = make_engine(indexed_stack, "hybrid")
@@ -101,36 +104,38 @@ class TestEngineModes:
         engine.retrieve(tokenize("ckd stage 5"), 3)
         stats = engine.stats()
         assert stats["retrieval_mode"] == "hybrid"
-        assert stats["retrievals_by_mode"]["hybrid"] == 2
-        assert stats["retrievals_by_mode"]["exact"] == 0
+        assert stats["retrievals"] == 2
+        # One engine serves one mode, so there is no per-mode map.
+        assert "retrievals_by_mode" not in stats
 
     def test_sparse_falls_back_without_compiled_index(
-        self, engine_stack, artifact
+        self, engine_stack, artifact, indexed_stack
     ):
         """A format-3 artifact compiled with --index none still serves
-        sparse mode (the engine freezes the index at start)."""
+        exact mode (the engine freezes the inverted index at start),
+        ranking as the compiled index does."""
         ontology, _, model, _ = engine_stack
-        exact = ConceptEngine(model, ontology, artifact)
-        sparse = ConceptEngine(
-            model,
-            ontology,
-            artifact,
-            retrieval=RetrievalConfig(mode="sparse"),
-        )
+        assert artifact.sparse_index is None
+        unindexed = ConceptEngine(model, ontology, artifact)
+        compiled = make_engine(indexed_stack, "exact")
         for query in ENGINE_QUERIES:
             tokens = tokenize(query)
-            assert sparse.retrieve(tokens, 5) == exact.retrieve(tokens, 5)
+            assert unindexed.retrieve(tokens, 5) == (
+                compiled.retrieve(tokens, 5)
+            )
 
     def test_dense_without_compiled_index_refuses(self, engine_stack, artifact):
         ontology, _, model, _ = engine_stack
-        for mode in ("dense", "hybrid"):
-            with pytest.raises(ConfigurationError, match="repro compile"):
-                ConceptEngine(
-                    model,
-                    ontology,
-                    artifact,
-                    retrieval=RetrievalConfig(mode=mode),
-                )
+        with pytest.raises(ConfigurationError, match="repro compile"):
+            ConceptEngine(model, ontology, artifact, retrieval_mode="hybrid")
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_removed_modes_are_refused_by_name(self, indexed_stack, mode):
+        with pytest.raises(ConfigurationError) as info:
+            make_engine(indexed_stack, mode)
+        assert (
+            f"retrieval_mode must be one of ('exact', 'hybrid'), got {mode!r}"
+        ) in str(info.value)
 
 
 class TestUnsupportedFormats:

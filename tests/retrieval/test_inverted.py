@@ -67,7 +67,8 @@ class TestSparseHits:
 
 class TestEarlyTermination:
     def test_impact_ordered_postings(self):
-        """Per-term postings are frozen weight-descending."""
+        """Per-term postings are frozen weight-descending (the compiled
+        ``index_sparse.npz`` layout)."""
         documents = [(i, ["x"] * (i + 1) + ["pad"] * 3) for i in range(6)]
         fast = InvertedIndex.build(documents)
         arrays = fast.to_arrays()
@@ -75,15 +76,6 @@ class TestEarlyTermination:
         lo, hi = arrays["offsets"][slot], arrays["offsets"][slot + 1]
         weights = arrays["weights"][lo:hi]
         assert list(weights) == sorted(weights, reverse=True)
-
-    def test_cap_keeps_highest_impact_hits(self):
-        # The "pad" token makes cosine grow with the x-count, so the
-        # impact-ordered prefix is also the true top-k.
-        documents = [(i, ["x"] * (i + 1) + ["pad"]) for i in range(8)]
-        fast = InvertedIndex.build(documents)
-        capped = fast.search(["x"], k=8, max_postings_per_term=3)
-        assert len(capped) == 3
-        assert capped == fast.search(["x"], k=3)
 
     def test_postings_examined(self):
         exact, fast = build_pair([["a", "b"], ["b"], ["c"]])

@@ -22,8 +22,22 @@ class TestTenantConfig:
 
     def test_non_exact_mode_requires_artifact(self):
         with pytest.raises(ConfigurationError, match="artifact_dir"):
-            TenantConfig(retrieval_mode="sparse")
-        TenantConfig(retrieval_mode="sparse", artifact_dir="/tmp/a")
+            TenantConfig(retrieval_mode="hybrid")
+        TenantConfig(retrieval_mode="hybrid", artifact_dir="/tmp/a")
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_rejects_removed_retrieval_modes_by_name(self, mode):
+        # API 1.10 deleted the sparse and dense modes.
+        with pytest.raises(ConfigurationError) as info:
+            RuntimeConfig.from_dict(
+                {"tenants": {"definitions": {"a": {
+                    "retrieval_mode": mode, "artifact_dir": "/tmp/a",
+                }}}}
+            )
+        assert (
+            f"tenant retrieval_mode must be one of ('exact', 'hybrid'), "
+            f"got {mode!r}"
+        ) in str(info.value)
 
     @pytest.mark.parametrize(
         "field", ["k", "quota_per_minute"]
@@ -35,11 +49,11 @@ class TestTenantConfig:
     def test_to_linker_config_scopes_overrides(self):
         base = LinkerConfig(k=7)
         tenant = TenantConfig(
-            artifact_dir="/tmp/a", retrieval_mode="sparse", k=3,
+            artifact_dir="/tmp/a", retrieval_mode="hybrid", k=3,
         )
         scoped = tenant.to_linker_config(base)
         assert scoped.artifact_dir == "/tmp/a"
-        assert scoped.retrieval.mode == "sparse"
+        assert scoped.retrieval_mode == "hybrid"
         assert scoped.k == 3
         # No per-tenant k -> the base k governs.
         assert TenantConfig().to_linker_config(base).k == 7
@@ -84,7 +98,7 @@ class TestTenancyConfig:
                 "tenants": {
                     "definitions": {
                         "icd": {"k": 16, "quota_per_minute": 5},
-                        "sct": {"retrieval_mode": "sparse",
+                        "sct": {"retrieval_mode": "hybrid",
                                 "artifact_dir": "/tmp/sct"},
                     },
                     "default": "icd",

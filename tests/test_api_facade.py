@@ -19,9 +19,11 @@ class TestSurface:
         # ShardFailure and the sharded engine's name, 1.8 the one
         # serving dispatcher, which dropped ServingConfig.batch_wait_ms,
         # 1.9 one engine for every linker, which dropped
-        # LinkerConfig.encoding_cache_size and TenantConfig.cache_budget);
-        # the major component is the /v1 route contract.
-        assert api.API_VERSION == "1.9"
+        # LinkerConfig.encoding_cache_size and TenantConfig.cache_budget,
+        # 1.10 two retrieval modes, which folded RetrievalConfig into
+        # LinkerConfig.retrieval_mode); the major component is the /v1
+        # route contract.
+        assert api.API_VERSION == "1.10"
         assert api.API_VERSION.split(".")[0] == "1"
 
     def test_every_exported_name_resolves(self):

@@ -273,6 +273,30 @@ class TestParser:
         assert info.value.code == 2
         assert "--cache-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("command", "mode"), [("link", "sparse"), ("serve", "dense")]
+    )
+    def test_refuses_removed_retrieval_modes(self, command, mode, capsys):
+        # API 1.10 kept two Phase-I retrieval modes: exact and hybrid.
+        argv = [command, "--model", "m/", "--retrieval-mode", mode]
+        if command == "link":
+            argv.append("query")
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {mode!r}" in err
+        assert "'exact', 'hybrid'" in err
+
+    def test_retrieval_mode_flag_reaches_the_linker_config(self):
+        from repro.cli import _runtime_config
+
+        args = build_parser().parse_args(
+            ["link", "--model", "m/", "--artifact-dir", "a/",
+             "--retrieval-mode", "hybrid", "query"]
+        )
+        assert _runtime_config(args).linker.retrieval_mode == "hybrid"
+
     def test_serve_requires_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])

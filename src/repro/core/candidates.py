@@ -127,10 +127,9 @@ class CandidateGenerator:
         return self._leaf_cids
 
     def generate(self, tokens: Sequence[str], k: int) -> List[Tuple[str, float]]:
-        """Top-``k`` candidate cids with their keyword-match scores."""
-        return [
-            (match.key, match.score) for match in self._index.search(tokens, k=k)
-        ]
+        """Top-``k`` candidate cids with their keyword-match scores
+        (:meth:`InvertedIndex.top_k`)."""
+        return self._index.top_k(tokens, k=k)
 
     def postings_examined(self, tokens: Sequence[str]) -> int:
         """Inverted-index work for this query (Figure 11 CR analysis)."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.core.config import ComAidConfig
 from repro.nn.attention import Attention, AttentionCache
 from repro.nn.embedding import Embedding
 from repro.nn.functional import (
+    SHIFT_FREE_LIMIT,
     log_normalizers,
     logit_bound,
     matmul_rows,
@@ -78,6 +79,26 @@ class ConceptEncoding:
 DecoderStarts = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+class DecodeWeights(NamedTuple):
+    """The weights a decode reads, laid out once (:meth:`ComAid.decode_weights`).
+
+    ``cell`` is the recurrent cell's ``step_weights()``; ``output_t``
+    and ``bias`` are Eq. 9's output layer, ``W_sᵀ`` C-contiguous.
+    ``bound`` is its logit bound (:meth:`ComAid.logit_bound`).  Below
+    :data:`~repro.nn.functional.SHIFT_FREE_LIMIT`, ``exp_bias`` holds
+    ``exp(b)`` and the bias is folded into the normaliser
+    (:func:`~repro.nn.functional.log_normalizers`); at or above it,
+    ``exp_bias`` is ``None`` and the logits take the bias before their
+    max shift.
+    """
+
+    cell: Tuple[np.ndarray, ...]
+    output_t: np.ndarray
+    bias: np.ndarray
+    exp_bias: Optional[np.ndarray]
+    bound: float
+
+
 class ConceptMemory:
     """Encoder outputs of N concepts as arrays indexed by position.
 
@@ -87,7 +108,8 @@ class ConceptMemory:
     ``offsets[p]:offsets[p + 1]``, and ``structure`` the ``(N, β, d)``
     structure memories (``None`` without structure attention).  The
     compiled artifact's slab has exactly this layout, so the engine
-    wraps its views without a copy.
+    wraps its views without a copy.  ``width`` is the widest concept
+    description, the width every :meth:`text` gather pads to.
     """
 
     def __init__(
@@ -103,6 +125,7 @@ class ConceptMemory:
         self.states = states
         self.offsets = offsets
         self.structure = structure
+        self.width = int(np.diff(offsets).max(initial=0))
 
     @classmethod
     def stack(
@@ -122,17 +145,20 @@ class ConceptMemory:
 
     def text(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(B, W, d)`` text memory and ``(B, W)`` additive mask for
-        ``rows``, ``W`` being the widest of their descriptions.
+        ``rows``, ``W`` being :attr:`width`.
 
         One gather into ``states``.  A padding slot repeats its
         concept's last real row, and the mask is ``0`` on a row's real
         slots and ``−inf`` on its padding: the attention softmax gives a
         padding slot weight exactly 0, so it adds exactly 0 to the
-        context.
+        context.  The width is the memory's, not the call's: the
+        attention sums round by their length, so a row padded to the
+        same width whatever it is batched with scores the same bits
+        alone and in a batch.
         """
         first = self.offsets[rows]
         widths = self.offsets[rows + 1] - first
-        slots = np.arange(widths.max())
+        slots = np.arange(self.width)
         state_rows = first[:, None] + np.minimum(slots, widths[:, None] - 1)
         mask = np.where(slots < widths[:, None], 0.0, -np.inf)
         return self.states[state_rows], mask
@@ -560,11 +586,10 @@ class ComAid(Module):
         Step 0 depends only on the concept, so it runs once per
         distinct ``(concept, ancestors)`` pair of the call
         (:meth:`decoder_start`); the rows then decode together from
-        step 1 (:meth:`score_from_starts`), under the logit bound of
-        the current output layer (:meth:`logit_bound`, computed per
-        call).  Inference-only: no caches are kept and no gradients
-        flow — training and the equivalence-test oracle stay on the
-        sequential :meth:`_decode`.
+        step 1 (:meth:`score_from_starts`) over the current weights
+        (:meth:`decode_weights`, laid out per call).  Inference-only: no
+        caches are kept and no gradients flow — training and the
+        equivalence-test oracle stay on the sequential :meth:`_decode`.
 
         A candidate's ancestors may be given either as the usual
         sequence of :class:`ConceptEncoding` or as a precomputed
@@ -604,7 +629,7 @@ class ComAid(Module):
             tuple(part[rows] for part in starts),
             memory,
             rows,
-            self.logit_bound(),
+            self.decode_weights(),
         )
 
     def logit_bound(self) -> float:
@@ -616,6 +641,24 @@ class ComAid(Module):
         since its weights are pinned to the artifact fingerprint.
         """
         return logit_bound(self.output.weight.value, self.output.bias.value)
+
+    def decode_weights(self) -> DecodeWeights:
+        """The current weights laid out for :meth:`score_from_starts`.
+
+        A snapshot (copies, plus a full pass over ``W_s`` for the logit
+        bound): the compiled-artifact engine builds it once, since its
+        weights are pinned to the artifact fingerprint, and
+        :meth:`score_batch` once per call.
+        """
+        bound = self.logit_bound()
+        bias = self.output.bias.value.copy()
+        return DecodeWeights(
+            cell=self.decoder.cell.step_weights(),
+            output_t=np.ascontiguousarray(self.output.weight.value.T),
+            bias=bias,
+            exp_bias=np.exp(bias) if bound < SHIFT_FREE_LIMIT else None,
+            bound=bound,
+        )
 
     def decoder_start(
         self, memory: ConceptMemory, rows: np.ndarray
@@ -636,7 +679,9 @@ class ComAid(Module):
             x, memory.final_h[rows], memory.final_c[rows]
         )
         s_tilde = self._composite_state(
-            h, *self._attention_memories(memory, rows)
+            h,
+            self._attention_memories(memory, rows),
+            np.empty((len(rows), self.composite.in_dim)),
         )
         logits = matmul_rows(s_tilde, self.output.weight.value.T)
         logits += self.output.bias.value
@@ -659,30 +704,39 @@ class ComAid(Module):
     def _composite_state(
         self,
         h: np.ndarray,
-        text_memory: Optional[np.ndarray],
-        text_mask: Optional[np.ndarray],
-        structure: Optional[np.ndarray],
+        memories: Tuple[
+            Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]
+        ],
+        stacked: np.ndarray,
     ) -> np.ndarray:
         """``s̃ = tanh(W_d [s; tc; sc] + b_d)`` (Eq. 8) for the decoder
         states ``h``, which attend over the first ``len(h)`` rows of
-        the memories (Eq. 5-7).
+        ``memories`` (:meth:`_attention_memories`, Eq. 5-7).
 
-        The contexts are written straight into the composite layer's
-        input, and the bias add and ``tanh`` run in place on the
-        product.  Shared by :meth:`decoder_start` and the decode loop,
-        so Eqs. 5-8 exist once on the batched path.
+        ``stacked`` is the composite layer's ``(len(h), in_dim)`` input
+        buffer: the contexts are written straight into it, and the bias
+        add and ``tanh`` run in place on the product.  Shared by
+        :meth:`decoder_start` and the decode loop, so Eqs. 5-8 exist
+        once on the batched path.
         """
         rows, dim = h.shape
+        text_memory, text_mask, structure = memories
         composite = self.composite
-        stacked = np.empty((rows, composite.in_dim))
         stacked[:, :dim] = h
+        # The decoder states and every memory row are recurrent-cell
+        # outputs, with entries in (−1, 1): each attention score lies
+        # within ±d, so the softmaxes need no max shift.
         if text_memory is not None:
             self.text_attention.forward_batch(
-                h, text_memory[:rows], text_mask[:rows], stacked[:, dim : 2 * dim]
+                h,
+                text_memory[:rows],
+                text_mask[:rows],
+                stacked[:, dim : 2 * dim],
+                bound=dim,
             )
         if structure is not None:
             self.structure_attention.forward_batch(
-                h, structure[:rows], None, stacked[:, -dim:]
+                h, structure[:rows], None, stacked[:, -dim:], bound=dim
             )
         s_tilde = matmul_rows(stacked, composite.weight.value.T)
         s_tilde += composite.bias.value
@@ -694,7 +748,7 @@ class ComAid(Module):
         starts: DecoderStarts,
         memory: ConceptMemory,
         rows: np.ndarray,
-        bound: float,
+        weights: DecodeWeights,
     ) -> np.ndarray:
         """``log p(q_j | c_j)`` per row, decoding from step 1.
 
@@ -702,7 +756,8 @@ class ComAid(Module):
         ``rows[j]`` of ``memory``; ``starts`` holds each row's
         :meth:`decoder_start` output and is only read.  Step 0's score
         is a gather and a row dot against ``s̃_0`` — no ``|V|``-wide
-        work.  ``bound`` is the output layer's :meth:`logit_bound`.
+        work.  ``weights`` is :meth:`decode_weights` of the current
+        weights.
 
         All rows advance in lock-step from step 1: one ``(k, ·)``
         matmul per decoder timestep instead of k mat-vecs (the trick
@@ -720,12 +775,15 @@ class ComAid(Module):
 
         Every check and table is built once per call: the sorted
         ``(k, span + 1)`` word matrix (each query, then ``<eos>``), its
-        id range (``IndexError``), empty queries (``DataError``) and
-        the text mask.  A step then gathers embedding rows directly and
-        reads only the target entry of the ``|V|``-wide softmax; with
-        ``bound`` below :data:`~repro.nn.functional.SHIFT_FREE_LIMIT`
-        its normaliser needs no max shift
-        (:func:`~repro.nn.functional.log_normalizers`).
+        id range (``IndexError``), empty queries (``DataError``), the
+        text mask and the composite layer's input buffer.  A step then
+        gathers embedding rows directly and reads only the target logit
+        of the ``|V|``-wide softmax.  With ``weights.bound`` below
+        :data:`~repro.nn.functional.SHIFT_FREE_LIMIT` the normaliser
+        needs no max shift, so the output bias is folded into it
+        (``Z = Σ_w exp(s̃·W_s[w])·exp(b_w)``) and never added across the
+        ``|V|``-wide logits; otherwise the logits take the bias and the
+        shifted normaliser (:func:`~repro.nn.functional.log_normalizers`).
         """
         size = len(query_ids)
         lengths = np.fromiter(map(len, query_ids), np.intp, size)
@@ -759,29 +817,38 @@ class ComAid(Module):
                 f"{words.min()}..{words.max()}"
             )
         h, c, s_tilde, log_z = (part[order] for part in starts)
-        weight = self.output.weight.value
-        bias = self.output.bias.value
         first = words[:, 0]
-        sorted_log_probs = np.einsum("bd,bd->b", weight[first], s_tilde)
-        sorted_log_probs += bias[first] - log_z
+        sorted_log_probs = np.einsum(
+            "bd,bd->b", self.output.weight.value[first], s_tilde
+        )
+        sorted_log_probs += self.output.bias.value[first] - log_z
         memories = self._attention_memories(memory, np.asarray(rows)[order])
-        # One logits buffer per call, reused by every step: a fresh
-        # (rows, |V|) temporary per step costs more in page faults than
-        # the exp over it.
+        # One logits buffer and one composite-input buffer per call,
+        # reused by every step: a fresh (rows, |V|) temporary per step
+        # costs more in page faults than the exp over it.
+        bias = weights.bias
         logits_buffer = np.empty((size, bias.shape[0]))
-        weight_t = weight.T
+        stacked = np.empty((size, self.composite.in_dim))
         cell = self.decoder.cell
         row_index = np.arange(size)
         for t, live_rows in enumerate(live):
             h, c = cell.step_batch(
-                embedding[words[:live_rows, t]], h[:live_rows], c[:live_rows]
+                embedding[words[:live_rows, t]],
+                h[:live_rows],
+                c[:live_rows],
+                weights.cell,
             )
-            s_tilde = self._composite_state(h, *memories)
-            logits = matmul_rows(s_tilde, weight_t, out=logits_buffer[:live_rows])
-            logits += bias
-            targets = logits[row_index[:live_rows], words[:live_rows, t + 1]]
-            targets -= log_normalizers(logits, bound)
-            sorted_log_probs[:live_rows] += targets
+            s_tilde = self._composite_state(h, memories, stacked[:live_rows])
+            logits = matmul_rows(
+                s_tilde, weights.output_t, out=logits_buffer[:live_rows]
+            )
+            targets = words[:live_rows, t + 1]
+            scores = logits[row_index[:live_rows], targets]
+            scores += bias[targets]
+            if weights.exp_bias is None:
+                logits += bias
+            scores -= log_normalizers(logits, weights.bound, weights.exp_bias)
+            sorted_log_probs[:live_rows] += scores
         log_probs = np.empty(size)
         log_probs[order] = sorted_log_probs
         return log_probs

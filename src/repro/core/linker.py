@@ -485,13 +485,19 @@ class NeuralConceptLinker:
         deadlines: List[Optional[float]] = []
         degraded: List[Optional[str]] = [None] * len(prepared_list)
         ed_spans: List[Any] = []
-        log_probs: List[List[Optional[float]]] = []
+        # A candidate fully covered by its description keeps 0.0.
+        log_probs: List[List[float]] = []
+        # The decode's rows: each row's word ids and cid, and the query
+        # and hit index its score belongs to.
         pending_ids: List[List[int]] = []
-        pending_owner: List[Tuple[int, int]] = []
+        pending_cids: List[str] = []
+        pending_query: List[int] = []
+        pending_index: List[int] = []
+        description_words = self._description_words_of
         try:
             for qi, prepared in enumerate(prepared_list):
                 hits = prepared.keyword_hits
-                log_probs.append([None] * len(hits))
+                log_probs.append([0.0] * len(hits))
                 with trace.attach(contexts[qi]):
                     ed_span = trace.start_span(
                         "linker.phase2", phase="ED", candidates=len(hits)
@@ -499,7 +505,7 @@ class NeuralConceptLinker:
                 ed_spans.append(ed_span)
                 deadline = (time.monotonic() + budget) if budget > 0 else None
                 deadlines.append(deadline)
-                start = len(pending_owner)
+                start = len(pending_ids)
                 with prepared.timer.phase("ED"), trace.attach(ed_span):
                     try:
                         scoring = self._scoring_tokens(prepared.rewritten)
@@ -517,17 +523,19 @@ class NeuralConceptLinker:
                                 )
                                 break
                             if remove_shared:
-                                shared = self._description_words(cid)
+                                shared = description_words.get(cid)
+                                if shared is None:
+                                    shared = self._description_words(cid)
                                 ids = [
                                     i for tok, i in encoded if tok not in shared
                                 ]
                             else:
                                 ids = scoring_ids
                             if ids:
-                                pending_owner.append((qi, index))
                                 pending_ids.append(ids)
-                            else:
-                                log_probs[qi][index] = 0.0
+                                pending_cids.append(cid)
+                                pending_query.append(qi)
+                                pending_index.append(index)
                     except Exception as error:  # noqa: BLE001 - degraded-mode guard
                         if not config.degrade_on_error:
                             raise
@@ -537,15 +545,13 @@ class NeuralConceptLinker:
                 if degraded[qi] is not None:
                     # A degraded query serves its keyword ranking; its
                     # queued candidates must not ride along in the decode.
-                    del pending_owner[start:]
                     del pending_ids[start:]
+                    del pending_cids[start:]
+                    del pending_query[start:]
+                    del pending_index[start:]
+            decoded = set(pending_query)
             if pending_ids:
-                first = pending_owner[0][0]
-                cids = [
-                    prepared_list[qi].keyword_hits[index][0]
-                    for qi, index in pending_owner
-                ]
-                fused = len({qi for qi, _ in pending_owner})
+                first = pending_query[0]
                 timer = prepared_list[first].timer
                 try:
                     with timer.phase("ED"), trace.attach(ed_spans[first]):
@@ -554,10 +560,10 @@ class NeuralConceptLinker:
                             "linker.phase2.decode",
                             phase="ED",
                             batch=len(pending_ids),
-                            fused_queries=fused,
+                            fused_queries=len(decoded),
                         ):
                             scores = self._engine.score_batch(
-                                pending_ids, cids
+                                pending_ids, pending_cids
                             )
                 except Exception as error:  # noqa: BLE001 - degraded-mode guard
                     if not config.degrade_on_error:
@@ -565,13 +571,15 @@ class NeuralConceptLinker:
                     reason = self._failure_reason(
                         prepared_list[first].query, error
                     )
-                    for qi, _ in pending_owner:
+                    for qi in decoded:
                         degraded[qi] = reason
                 else:
-                    for (qi, index), score in zip(pending_owner, scores):
-                        log_probs[qi][index] = float(score)
+                    for qi, index, score in zip(
+                        pending_query, pending_index, scores.tolist()
+                    ):
+                        log_probs[qi][index] = score
             now = time.monotonic()
-            for qi in {qi for qi, _ in pending_owner}:
+            for qi in decoded:
                 deadline = deadlines[qi]
                 if deadline is not None and now > deadline and not degraded[qi]:
                     degraded[qi] = (
@@ -592,13 +600,9 @@ class NeuralConceptLinker:
                     )
                     continue
                 scored = [
-                    RankedConcept(
-                        cid=cid,
-                        log_prob=log_probs[qi][index],
-                        keyword_score=keyword_score,
-                    )
-                    for index, (cid, keyword_score) in enumerate(
-                        prepared.keyword_hits
+                    RankedConcept(cid, log_prob, keyword_score)
+                    for (cid, keyword_score), log_prob in zip(
+                        prepared.keyword_hits, log_probs[qi]
                     )
                 ]
                 results.append(self._ranked_result(prepared, scored))

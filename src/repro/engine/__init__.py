@@ -12,7 +12,8 @@ that scale.  This package moves every per-concept computation offline
   Def.-4.1 structure memories, and the Phase-I TF-IDF
   documents/statistics): in memory (``build_artifact``), or into a
   versioned, checksummed format-3 slab artifact written through the
-  atomic persistence layer (``repro compile``);
+  atomic persistence layer (``repro compile``; ``write_artifact``
+  writes one already built);
 * :mod:`repro.engine.concept_engine` — one Phase-I inverted index over
   the artifact's frozen documents and one lock-step Phase-II decode
   over zero-copy views into its encoding slab.  Every linker links
@@ -29,6 +30,7 @@ from repro.engine.compile import (
     compile_artifact,
     load_artifact,
     verify_artifact,
+    write_artifact,
 )
 from repro.engine.concept_engine import ConceptEngine
 
@@ -40,4 +42,5 @@ __all__ = [
     "compile_artifact",
     "load_artifact",
     "verify_artifact",
+    "write_artifact",
 ]

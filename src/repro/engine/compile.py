@@ -461,15 +461,8 @@ def compile_artifact(
     index: str = "none",
     index_seed: int = 0,
 ) -> Path:
-    """:func:`build_artifact`, then write it to ``directory`` crash-safely.
-
-    Writes the arrays — with global TF-IDF statistics and a model
-    fingerprint — into ``directory`` and returns the artifact path.
-    Each compiled retrieval index file (``index``, see
-    :func:`build_artifact`) carries its own sha256 in the header's
-    ``retrieval`` section, verified again at load; without a dense
-    index ``hybrid`` retrieval refuses at engine start.
-    """
+    """:func:`build_artifact`, then :func:`write_artifact` it to
+    ``directory``; returns the artifact path."""
     artifact = build_artifact(
         model,
         ontology,
@@ -479,6 +472,27 @@ def compile_artifact(
         index=index,
         index_seed=index_seed,
     )
+    return write_artifact(directory, model, artifact, metadata=metadata)
+
+
+def write_artifact(
+    directory: PathLike,
+    model: ComAid,
+    artifact: ConceptArtifact,
+    metadata: Optional[Dict[str, Any]] = None,
+) -> Path:
+    """Write a built ``artifact`` of ``model`` to ``directory`` crash-safely.
+
+    Writes the arrays — with global TF-IDF statistics and a model
+    fingerprint — into ``directory`` and returns the artifact path.
+    Each compiled retrieval index file (see :func:`build_artifact`)
+    carries its own sha256 in the header's ``retrieval`` section,
+    verified again at load; without a dense index ``hybrid`` retrieval
+    refuses at engine start.  A linker built in memory can write its
+    engine's artifact this way instead of encoding the model again;
+    the artifact must come from ``model`` (``DataError`` otherwise).
+    """
+    artifact.check_model(model)
     header: Dict[str, Any] = {
         "format": ARTIFACT_FORMAT,
         "fingerprint": artifact.fingerprint,

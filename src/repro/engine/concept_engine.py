@@ -92,9 +92,9 @@ class ConceptEngine:
         self._start_slot = np.full(len(artifact), -1, dtype=np.intp)
         self._starts = np.empty((0, 3 * dim + 1))
         self._starts_filled = 0
-        # Eq. 9's logit bound, fixed with the weights: a swap brings a
-        # new engine.
-        self._logit_bound = model.logit_bound()
+        # The decode's weight layout and Eq. 9's logit bound, fixed
+        # with the weights: a swap brings a new engine.
+        self._decode_weights = model.decode_weights()
         self._lock = threading.Lock()
         self._retrievals = 0
         self._score_batches = 0
@@ -233,9 +233,7 @@ class ConceptEngine:
         with trace.span("engine.phase2", phase="ED", batch=len(cids)):
             probe("engine.score")
             position_of = self._artifact.position_of
-            positions = np.fromiter(
-                (position_of(cid) for cid in cids), np.intp, len(cids)
-            )
+            positions = np.fromiter(map(position_of, cids), np.intp, len(cids))
             starts = self._decoder_starts(positions)
             dim = self._model.config.dim
             return self._model.score_from_starts(
@@ -248,7 +246,7 @@ class ConceptEngine:
                 ),
                 self._memory,
                 positions,
-                self._logit_bound,
+                self._decode_weights,
             )
 
     def _decoder_starts(self, positions: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import replace
 from typing import Dict, List, Sequence
 
 from repro.core.linker import NeuralConceptLinker
-from repro.engine.compile import compile_artifact
+from repro.engine.compile import write_artifact
 from repro.eval.experiments.scale import DEFAULT, ExperimentScale
 from repro.eval.harness import build_pipeline
 from repro.eval.reporting import emit, format_table
@@ -154,13 +154,9 @@ def run_mp_load(
         rng=derive_rng(generator, dataset, "pipeline"),
     )
     directory = artifact_dir or tempfile.mkdtemp(prefix="repro-mp-bench-")
-    compile_artifact(
-        directory,
-        pipeline.model,
-        bundle.ontology,
-        kb=bundle.kb,
-        index_aliases=pipeline.linker.config.index_aliases,
-    )
+    # The pipeline's linker already encoded every concept in memory:
+    # write that artifact for the workers rather than encode again.
+    write_artifact(directory, pipeline.model, pipeline.linker.engine.artifact)
     # Built once, pre-fork: the workers inherit the model and mapped
     # slab copy-on-write, exactly as `repro serve --workers N` does.
     worker_linker = NeuralConceptLinker(

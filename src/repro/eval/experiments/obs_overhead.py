@@ -195,7 +195,7 @@ def run_obs_overhead_mp(
 
     from repro.core.config import ServingConfig
     from repro.core.linker import NeuralConceptLinker
-    from repro.engine.compile import compile_artifact
+    from repro.engine.compile import write_artifact
     from repro.serving.service import ProcPoolLinkingService
 
     generator = ensure_rng(seed)
@@ -208,13 +208,9 @@ def run_obs_overhead_mp(
         rng=derive_rng(generator, dataset, "pipeline"),
     )
     directory = artifact_dir or tempfile.mkdtemp(prefix="repro-obs-mp-")
-    compile_artifact(
-        directory,
-        pipeline.model,
-        bundle.ontology,
-        kb=bundle.kb,
-        index_aliases=pipeline.linker.config.index_aliases,
-    )
+    # The pipeline's linker already encoded every concept in memory:
+    # write that artifact for the workers rather than encode again.
+    write_artifact(directory, pipeline.model, pipeline.linker.engine.artifact)
     worker_linker = NeuralConceptLinker(
         pipeline.model,
         bundle.ontology,

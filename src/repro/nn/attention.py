@@ -15,6 +15,7 @@ into the encoder and the ancestor encodings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -68,6 +69,7 @@ class Attention(Module):
         memory: np.ndarray,
         bias: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
+        bound: float = math.inf,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched attention: one query row against one memory per row.
 
@@ -82,8 +84,10 @@ class Attention(Module):
         weights)``; row ``b`` equals :meth:`forward` on ``queries[b]``
         against the valid prefix of ``memory[b]`` (padding gets weight
         exactly 0, so it adds exactly 0 to the context).  The softmax
-        runs in place on the scores; the inputs are never written.
-        Inference-only: no cache, no backward.
+        runs in place on the scores (shift-free when ``bound`` bounds
+        every ``|score|`` below the limit of
+        :func:`~repro.nn.functional.softmax_inplace`); the inputs are
+        never written.  Inference-only: no cache, no backward.
         """
         if memory.ndim != 3 or memory.shape[2] != queries.shape[1]:
             raise ValueError(
@@ -93,7 +97,7 @@ class Attention(Module):
         weights = np.matmul(memory, queries[:, :, None])[:, :, 0]
         if bias is not None:
             weights += bias
-        softmax_inplace(weights)
+        softmax_inplace(weights, bound)
         if out is None:
             out = np.empty(queries.shape)
         np.matmul(weights[:, None, :], memory, out=out[:, None, :])

@@ -82,18 +82,22 @@ def softmax_cross_entropy(
     return loss, dlogits
 
 
-def softmax_inplace(scores: np.ndarray) -> np.ndarray:
+def softmax_inplace(scores: np.ndarray, bound: float = math.inf) -> np.ndarray:
     """Softmax along the last axis of float64 ``scores``, in place.
 
     The inference-only form of :func:`softmax` for the batched
     attentions: shift by the row max, exponentiate and normalise, with
-    no temporary the size of ``scores``.  A mask enters as an additive
-    ``0 / −inf`` bias applied beforehand: a ``−inf`` score gets
-    probability exactly 0 and adds exactly 0 to the normaliser, so the
-    other positions equal a plain softmax over them alone.  Every row
-    needs at least one finite score.  Returns ``scores``.
+    no temporary the size of ``scores``.  ``bound`` bounds every finite
+    ``|score|``; below :data:`SHIFT_FREE_LIMIT` no exponential can
+    overflow or underflow, so the max shift is skipped.  A mask enters
+    as an additive ``0 / −inf`` bias applied beforehand: a ``−inf``
+    score gets probability exactly 0 and adds exactly 0 to the
+    normaliser, so the other positions equal a plain softmax over them
+    alone.  Every row needs at least one finite score.  Returns
+    ``scores``.
     """
-    scores -= np.max(scores, axis=-1, keepdims=True)
+    if bound >= SHIFT_FREE_LIMIT:
+        scores -= np.max(scores, axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= np.sum(scores, axis=-1, keepdims=True)
     return scores
@@ -118,7 +122,11 @@ def logit_bound(weight: np.ndarray, bias: np.ndarray) -> float:
     return float(np.max(np.abs(weight).sum(axis=1) + np.abs(bias)))
 
 
-def log_normalizers(logits: np.ndarray, bound: float = math.inf) -> np.ndarray:
+def log_normalizers(
+    logits: np.ndarray,
+    bound: float = math.inf,
+    exp_bias: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Per-row ``log Σ exp(logits[b])`` of a float64 ``(B, V)`` batch.
 
     In place on ``logits``, which ends holding its exponentials.
@@ -129,10 +137,27 @@ def log_normalizers(logits: np.ndarray, bound: float = math.inf) -> np.ndarray:
     shifted by their max, the normaliser :func:`log_softmax` subtracts,
     and the result ``max + log Σ exp(logits − max)`` is finite for any
     finite logits.
+
+    ``exp_bias`` folds an output-layer bias ``b`` into the shift-free
+    sum: ``logits`` then hold the products ``s·W[w]`` without it, and
+    the result is ``log Σ_w exp(logits[b, w])·exp_bias[w]`` with
+    ``exp_bias = exp(b)`` — the same normaliser, without a pass adding
+    ``b`` across the batch.  ``bound`` covers the biased logits.  Each
+    row's weighted sum is its own reduction, so a row's result does not
+    depend on the rows batched with it.  With a bound at or above the
+    limit the max shift needs the biased logits, so ``exp_bias`` is
+    refused there.
     """
     if bound < SHIFT_FREE_LIMIT:
         np.exp(logits, out=logits)
-        return np.log(np.sum(logits, axis=-1))
+        if exp_bias is None:
+            return np.log(np.sum(logits, axis=-1))
+        return np.log(np.einsum("bv,v->b", logits, exp_bias))
+    if exp_bias is not None:
+        raise ValueError(
+            f"a folded bias needs a logit bound below {SHIFT_FREE_LIMIT}, "
+            f"got {bound}"
+        )
     shift = np.max(logits, axis=-1)
     logits -= shift[:, None]
     np.exp(logits, out=logits)

@@ -110,17 +110,29 @@ class GRUCell(Module):
         )
         return h, h, cache
 
+    def step_weights(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(W_xᵀ, W_hᵀ, b)`` laid out for :meth:`step_batch`: the
+        transposes C-contiguous.  A snapshot, as
+        :meth:`repro.nn.lstm.LSTMCell.step_weights`."""
+        return (
+            np.ascontiguousarray(self.wx.value.T),
+            np.ascontiguousarray(self.wh.value.T),
+            self.bias.value.copy(),
+        )
+
     def step_batch(
         self,
         x: np.ndarray,
         h_prev: np.ndarray,
         c_prev: Optional[np.ndarray] = None,
+        weights: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One step over a ``(B, input_dim)`` row-batch; ``c_prev`` is
         accepted and ignored (LSTM API parity).
 
         Row ``b`` of the output equals :meth:`step` on row ``b`` (to
-        floating-point round-off).  Inference-only: no cache, no
+        floating-point round-off).  ``weights`` is :meth:`step_weights`
+        (built here when omitted).  Inference-only: no cache, no
         gradients.  The gate math runs in place in one pre-activation
         buffer; the inputs are never written, and the output is a new
         array.
@@ -134,20 +146,22 @@ class GRUCell(Module):
                 f"need x (B, {self.input_dim}) and h_prev (B, {hidden}), "
                 f"got x={x.shape}, h_prev={h_prev.shape}"
             )
-        wh = self.wh.value
-        # One (B, 3h) pre-activation buffer; the gate math runs in it.
-        pre = matmul_rows(x, self.wx.value.T)
-        pre += self.bias.value
+        wx_t, wh_t, bias = self.step_weights() if weights is None else weights
+        # One (B, 3h) pre-activation buffer and one (B, 3h) recurrent
+        # product; the gate math runs in them.
+        pre = matmul_rows(x, wx_t)
+        pre += bias
+        recurrent = matmul_rows(h_prev, wh_t)
         # The update and reset gates are one contiguous block: one
         # sigmoid call over it is elementwise identical to two.
         gates = pre[:, : 2 * hidden]
-        gates += matmul_rows(h_prev, wh[: 2 * hidden].T)
+        gates += recurrent[:, : 2 * hidden]
         sigmoid_inplace(gates)
         update = pre[:, :hidden]
         candidate = pre[:, 2 * hidden :]
-        recurrent = matmul_rows(h_prev, wh[2 * hidden :].T)
-        recurrent *= pre[:, hidden : 2 * hidden]  # r ⊙ (U_n h)
-        candidate += recurrent
+        candidate_recurrent = recurrent[:, 2 * hidden :]
+        candidate_recurrent *= pre[:, hidden : 2 * hidden]  # r ⊙ (U_n h)
+        candidate += candidate_recurrent
         np.tanh(candidate, out=candidate)
         h = update * h_prev
         np.subtract(1.0, update, out=update)

@@ -22,7 +22,6 @@ from repro.nn.functional import (
     matmul_rows,
     sigmoid,
     sigmoid_grad,
-    sigmoid_inplace,
     tanh,
     tanh_grad,
 )
@@ -108,14 +107,39 @@ class LSTMCell(Module):
         )
         return hidden_state, cell, cache
 
+    def step_weights(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(W_xᵀ, W_hᵀ, b)`` laid out for :meth:`step_batch`.
+
+        The transposes are C-contiguous, and the input, forget and
+        output gate columns are pre-halved: ``σ(x) = ½·tanh(½x) + ½``
+        and halving is exact, so one ``tanh`` over the contiguous
+        ``(B, 4h)`` pre-activation yields every gate and the candidate.
+        A snapshot of the current weights: the concept engine, whose
+        weights are pinned to its artifact, keeps one for its lifetime.
+        """
+        hidden = self.hidden_dim
+        scale = np.ones(4 * hidden)
+        scale[: 3 * hidden] = 0.5
+        return (
+            np.ascontiguousarray((self.wx.value * scale[:, None]).T),
+            np.ascontiguousarray((self.wh.value * scale[:, None]).T),
+            self.bias.value * scale,
+        )
+
     def step_batch(
-        self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+        self,
+        x: np.ndarray,
+        h_prev: np.ndarray,
+        c_prev: np.ndarray,
+        weights: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One time step over a ``(B, input_dim)`` row-batch.
 
         Row ``b`` of the outputs equals :meth:`step` applied to row ``b``
         of the inputs (to floating-point round-off: the batch runs one
         ``(B, 4h)`` matmul per term where :meth:`step` runs B mat-vecs).
+        ``weights`` is :meth:`step_weights` (built here when omitted),
+        so a decode lays the weights out once, not once per step.
         Inference-only — no cache is produced and no gradients flow; the
         training path stays on :meth:`step`.  The gate math runs in
         place in one pre-activation buffer; the inputs are never
@@ -130,15 +154,18 @@ class LSTMCell(Module):
                 f"need x (B, {self.input_dim}) and states (B, {hidden}), got "
                 f"x={x.shape}, h={h_prev.shape}, c={c_prev.shape}"
             )
-        # One (B, 4h) pre-activation buffer; the gate math runs in it.
-        pre = matmul_rows(x, self.wx.value.T)
-        pre += matmul_rows(h_prev, self.wh.value.T)
-        pre += self.bias.value
-        # The input/forget/output gates are one contiguous block: one
-        # sigmoid call over it is elementwise identical to three.
-        sigmoid_inplace(pre[:, : 3 * hidden])
+        wx_t, wh_t, bias = self.step_weights() if weights is None else weights
+        # One (B, 4h) pre-activation buffer, gate columns already
+        # halved; one tanh over all of it, then σ = ½·tanh(½x) + ½ on
+        # the input/forget/output block.
+        pre = matmul_rows(x, wx_t)
+        pre += matmul_rows(h_prev, wh_t)
+        pre += bias
+        np.tanh(pre, out=pre)
+        gates = pre[:, : 3 * hidden]
+        gates *= 0.5
+        gates += 0.5
         gated = pre[:, 3 * hidden :]
-        np.tanh(gated, out=gated)
         gated *= pre[:, :hidden]  # i ⊙ g
         cell = pre[:, hidden : 2 * hidden] * c_prev
         cell += gated

@@ -26,7 +26,6 @@ artifact byte-identical to one written before.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,11 +162,6 @@ class InvertedIndex:
 
     # -- queries -------------------------------------------------------
 
-    def _idf(self, term: str) -> float:
-        return 1.0 + math.log(
-            (self._doc_count + 1) / (self._df.get(term, 0) + 1)
-        )
-
     def _query_weights(
         self, tokens: Sequence[str]
     ) -> Tuple[Dict[str, float], float]:
@@ -178,27 +172,33 @@ class InvertedIndex:
         per-document accumulation order and the query norm's summation
         order reproduce ``TfIdfIndex.search`` bit for bit.
         """
-        query_freq = Counter(tokens)
-        weights = {
-            term: (1.0 + math.log(count)) * self._idf(term)
-            for term, count in query_freq.items()
-            if self._df.get(term, 0) > 0
-        }
+        query_freq: Dict[str, int] = {}
+        for token in tokens:
+            query_freq[token] = query_freq.get(token, 0) + 1
+        df = self._df
+        smoothed_count = self._doc_count + 1
+        weights = {}
+        for term, count in query_freq.items():
+            term_df = df.get(term, 0)
+            if term_df > 0:
+                weights[term] = (1.0 + math.log(count)) * (
+                    1.0 + math.log(smoothed_count / (term_df + 1))
+                )
         if not weights:
             return {}, 0.0
         norm = math.sqrt(sum(weight * weight for weight in weights.values()))
         return weights, norm
 
-    def search(self, tokens: Sequence[str], k: int = 10) -> List[TfIdfMatch]:
-        """Top-``k`` hits — the exact scan's answer, as it types it.
+    def _rank(
+        self, tokens: Sequence[str], k: int
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], float]:
+        """``(positions, cosines, raw scores, query norm)`` of the top-k.
 
-        Bit-identical to ``TfIdfIndex.search`` over the same documents:
-        same hit set, same order, same float scores.
+        The one scoring path behind :meth:`search`, :meth:`top_k` and
+        :meth:`search_scored`: positions and cosines of the hits in
+        ``(-cosine, doc_id)`` order, plus the raw per-document
+        accumulator (``None`` when no query term is in the corpus).
         """
-        return self.search_scored(tokens, k).hits
-
-    def search_scored(self, tokens: Sequence[str], k: int = 10) -> SparseHits:
-        """:meth:`search` plus the whole-corpus scorer for fusion."""
         if not self._fitted:
             raise NotFittedError("InvertedIndex.search called before build")
         if k < 1:
@@ -206,43 +206,87 @@ class InvertedIndex:
         empty = np.zeros(0, dtype=np.int64)
         query_weights, query_norm = self._query_weights(tokens)
         if not query_weights:
-            return SparseHits([], empty, None, None, 0.0)
-        scores = np.zeros(len(self._keys), dtype=np.float64)
+            return empty, np.zeros(0), None, 0.0
+        offsets, docs, doc_weights = self._offsets, self._docs, self._weights
+        posting_docs: List[np.ndarray] = []
+        products: List[np.ndarray] = []
         for term, query_weight in query_weights.items():
             slot = self._term_slot.get(term)
-            if slot is None:
-                continue
-            lo = int(self._offsets[slot])
-            hi = int(self._offsets[slot + 1])
-            # Each document appears at most once per term, so this
-            # fancy-index add is the scalar loop's accumulation,
-            # vectorised; weight products and sums run in the same
-            # IEEE-754 doubles.
-            scores[self._docs[lo:hi]] += query_weight * self._weights[lo:hi]
+            if slot is not None:
+                lo, hi = offsets[slot], offsets[slot + 1]
+                posting_docs.append(docs[lo:hi])
+                products.append(doc_weights[lo:hi] * query_weight)
+        if not posting_docs:
+            return empty, np.zeros(0), np.zeros(len(self._keys)), query_norm
+        # One weighted bincount over the terms' postings, concatenated
+        # in query order: it adds each document's products in that
+        # order from 0.0, as the scalar loop does, in the same IEEE-754
+        # doubles.
+        scores = np.bincount(
+            np.concatenate(posting_docs),
+            weights=np.concatenate(products),
+            minlength=len(self._keys),
+        )
         # All weights are strictly positive, so "touched" is exactly
         # "score > 0" — the same candidate set the dict scan builds.
-        touched = np.flatnonzero(scores)
+        # It is ascending, so a stable sort on −cosine alone keeps the
+        # exact (-cosine, doc_id) order.
+        touched = scores.nonzero()[0]
         if len(touched) == 0:
-            return SparseHits([], empty, scores, self._norms, query_norm)
+            return empty, np.zeros(0), scores, query_norm
         cosines = scores[touched] / (self._norms[touched] * query_norm)
         if len(touched) > k and len(touched) > _FULL_SORT_LIMIT:
             # Pre-select on value alone, then sort only the documents
-            # at or above the k-th cosine — the boundary-tie superset —
-            # which preserves the exact (-cosine, doc_id) order.
+            # at or above the k-th cosine — the boundary-tie superset.
             top = np.argpartition(-cosines, k - 1)[:k]
             pivot = cosines[top].min()
             keep = np.flatnonzero(cosines >= pivot)
-            order = np.lexsort((touched[keep], -cosines[keep]))
-            chosen = keep[order[:k]]
+            chosen = keep[np.argsort(-cosines[keep], kind="stable")[:k]]
         else:
-            order = np.lexsort((touched, -cosines))
-            chosen = order[:k]
-        positions = touched[chosen].astype(np.int64)
-        hits = [
-            TfIdfMatch(key=self._keys[doc_id], score=float(cosine))
-            for doc_id, cosine in zip(positions, cosines[chosen])
+            chosen = np.argsort(-cosines, kind="stable")[:k]
+        return (
+            touched[chosen].astype(np.int64),
+            cosines[chosen],
+            scores,
+            query_norm,
+        )
+
+    def top_k(
+        self, tokens: Sequence[str], k: int = 10
+    ) -> List[Tuple[Hashable, float]]:
+        """:meth:`search`'s hits as plain ``(key, score)`` pairs.
+
+        The Phase-I form: the same keys and float scores, in the same
+        order, without a result object per hit.
+        """
+        positions, cosines, _, _ = self._rank(tokens, k)
+        keys = self._keys
+        return [
+            (keys[position], cosine)
+            for position, cosine in zip(positions.tolist(), cosines.tolist())
         ]
-        return SparseHits(hits, positions, scores, self._norms, query_norm)
+
+    def search(self, tokens: Sequence[str], k: int = 10) -> List[TfIdfMatch]:
+        """Top-``k`` hits — the exact scan's answer, as it types it.
+
+        Bit-identical to ``TfIdfIndex.search`` over the same documents:
+        same hit set, same order, same float scores.
+        """
+        return [
+            TfIdfMatch(key=key, score=score)
+            for key, score in self.top_k(tokens, k)
+        ]
+
+    def search_scored(self, tokens: Sequence[str], k: int = 10) -> SparseHits:
+        """:meth:`search` plus the whole-corpus scorer for fusion."""
+        positions, cosines, scores, query_norm = self._rank(tokens, k)
+        keys = self._keys
+        hits = [
+            TfIdfMatch(key=keys[position], score=cosine)
+            for position, cosine in zip(positions.tolist(), cosines.tolist())
+        ]
+        norms = None if scores is None else self._norms
+        return SparseHits(hits, positions, scores, norms, query_norm)
 
     def postings_examined(self, tokens: Sequence[str]) -> int:
         """Postings a query would touch (Figure 11 CR accounting)."""

@@ -10,7 +10,6 @@ linker can report exactly that breakdown.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Tuple
 
@@ -116,15 +115,28 @@ class PhaseTimer:
     def __init__(self) -> None:
         self.breakdown = TimingBreakdown()
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> "_Phase":
         """Context manager timing its body under ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.breakdown.add(name, time.perf_counter() - started)
+        return _Phase(self.breakdown, name)
 
     def reset(self) -> None:
         """Discard all recorded phases."""
         self.breakdown = TimingBreakdown()
+
+
+class _Phase:
+    """:meth:`PhaseTimer.phase`'s context manager: a slotted class, not
+    a generator, since linking enters several per query."""
+
+    __slots__ = ("_breakdown", "_name", "_started")
+
+    def __init__(self, breakdown: TimingBreakdown, name: str) -> None:
+        self._breakdown = breakdown
+        self._name = name
+        self._started = 0.0
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._breakdown.add(self._name, time.perf_counter() - self._started)

@@ -7,6 +7,7 @@ concept, ``link_batch`` fusing queries into one decode with identical
 rankings, and deterministic concurrent linking.
 """
 
+import random
 import threading
 
 import pytest
@@ -26,18 +27,63 @@ class TestWarmUp:
         assert make_linker().warm_cache(["N18.5", "D50.0"]) == 2
 
 
+def _ranking(result):
+    return [(c.cid, c.log_prob, c.keyword_score) for c in result.ranked]
+
+
 class TestLinkBatch:
-    def test_batch_matches_sequential(self, make_linker):
-        sequential = make_linker()
-        batched = make_linker()
-        queries = ["ckd stage 5", "anemia blood loss", "scorbutic anemia"]
-        expected = [
-            [(c.cid, c.log_prob) for c in sequential.link(q).ranked]
-            for q in queries
+    def test_batch_matches_sequential(self, make_linker, trained_pipeline):
+        """``link(q)`` is bit-equal to q's result inside any mixed
+        ``link_batch``: a decode row's arithmetic must not depend on the
+        rows batched with it.  The queries include one-row decodes
+        (``k=1``, where ``matmul_rows`` keeps gemv and gemm rounding
+        apart), one-word queries and queries whose candidates are all
+        fully covered by their descriptions (no decode row at all)."""
+        ontology, _, _ = trained_pipeline
+        words = sorted(
+            {word for leaf in ontology.fine_grained() for word in leaf.words}
+            | {"ckd", "renal", "hemorrhagic", "vitamin", "pain", "5"}
+        )
+        rng = random.Random(2018)
+        queries = [
+            "ckd stage 5",
+            "anemia blood loss",
+            "scorbutic anemia",
+            "anemia",
+            "chronic kidney disease",
+            "ckd",
+            "5",
+        ] + [
+            " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+            for _ in range(40)
         ]
-        results = batched.link_batch(queries)
-        actual = [[(c.cid, c.log_prob) for c in r.ranked] for r in results]
-        assert actual == expected
+        ks = [1, 5, 1, 5, 3, 1, 2] + [
+            rng.choice([1, 1, 2, 5, 7]) for _ in range(40)
+        ]
+        sequential = make_linker()
+        expected = [
+            _ranking(sequential.link(query, k)) for query, k in zip(queries, ks)
+        ]
+        one_row = [
+            ranking
+            for ranking, k in zip(expected, ks)
+            if k == 1 and ranking and ranking[0][1] != 0.0
+        ]
+        covered = [
+            ranking
+            for ranking in expected
+            if ranking and all(log_prob == 0.0 for _, log_prob, _ in ranking)
+        ]
+        assert one_row and covered
+        for size in (len(queries), 16, 5, 2):
+            batched = make_linker()
+            for start in range(0, len(queries), size):
+                results = batched.link_batch(
+                    queries[start : start + size], ks[start : start + size]
+                )
+                assert [_ranking(result) for result in results] == (
+                    expected[start : start + size]
+                )
 
     def test_batch_amortises_encodings(self, make_linker):
         linker = make_linker()

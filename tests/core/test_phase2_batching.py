@@ -189,24 +189,24 @@ class TestScoreBatchEquivalence:
         step_batch = cell.step_batch
         steps = []
 
-        def spy(x, h, c):
+        def spy(x, h, c, weights=None):
             steps.append(x.shape[0])
-            return step_batch(x, h, c)
+            return step_batch(x, h, c, weights)
 
         monkeypatch.setattr(cell, "step_batch", spy)
-        bound = model.logit_bound()
+        weights = model.decode_weights()
         for bad in (len(model.vocab), -1):
             # The out-of-range id sits in the last step of one row.
             broken = [queries[0], list(queries[1]) + [bad], queries[2]]
             with pytest.raises(IndexError):
-                model.score_from_starts(broken, starts, memory, rows, bound)
+                model.score_from_starts(broken, starts, memory, rows, weights)
         with pytest.raises(DataError):
             model.score_from_starts(
-                [queries[0], [], queries[2]], starts, memory, rows, bound
+                [queries[0], [], queries[2]], starts, memory, rows, weights
             )
         assert steps == [], "a bad query was found after decoding began"
         np.testing.assert_allclose(
-            model.score_from_starts(queries, starts, memory, rows, bound),
+            model.score_from_starts(queries, starts, memory, rows, weights),
             oracle.score_rows(model, queries, candidates),
             rtol=0,
             atol=TOLERANCE,
@@ -269,9 +269,9 @@ class TestShrinkingDecode:
         step_batch = cell.step_batch
         seen = []
 
-        def spy(x, h, c):
+        def spy(x, h, c, weights=None):
             seen.append(x.shape[0])
-            return step_batch(x, h, c)
+            return step_batch(x, h, c, weights)
 
         monkeypatch.setattr(cell, "step_batch", spy)
         model.score_batch(queries, candidates)
@@ -560,9 +560,9 @@ class TestDecoderStart:
         step_batch = cell.step_batch
         seen = []
 
-        def spy(x, h, c):
+        def spy(x, h, c, weights=None):
             seen.append(x.shape[0])
-            return step_batch(x, h, c)
+            return step_batch(x, h, c, weights)
 
         monkeypatch.setattr(cell, "step_batch", spy)
         engine.score_batch(queries, cids)
@@ -820,9 +820,9 @@ class TestShiftedNormaliser:
         candidates = _runtime_candidates(runtime, cids)
         seen = []
 
-        def spy(logits, bound=math.inf):
+        def spy(logits, bound=math.inf, exp_bias=None):
             seen.append((bound, float(np.abs(logits).max())))
-            return log_normalizers(logits, bound)
+            return log_normalizers(logits, bound, exp_bias)
 
         monkeypatch.setattr("repro.core.comaid.log_normalizers", spy)
         # The output bias is zero, so the logits scale with W_s: put

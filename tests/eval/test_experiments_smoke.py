@@ -7,6 +7,7 @@ twenty minutes of training is found here in seconds instead.
 
 import pytest
 
+from repro.engine import compile as compile_module
 from repro.eval.experiments import TINY
 from repro.eval.experiments.fig5_tuning import run_vary_beta, run_vary_k
 from repro.eval.experiments.fig6_architecture import average_drop
@@ -27,6 +28,8 @@ from repro.eval.experiments.fig13_robustness import (
     run_vary_concepts,
     run_vary_unlabeled,
 )
+from repro.eval.experiments.mp_load import run_mp_load
+from repro.eval.experiments.obs_overhead import run_obs_overhead_mp
 
 DATASET = ("hospital-x-like",)
 
@@ -118,3 +121,36 @@ class TestExperimentSmoke:
         )
         assert len(unlabeled["hospital-x-like"]["acc"]) == 2
 
+
+
+@pytest.mark.slow
+class TestMultiProcessRunnersEncodeOnce:
+    """The multi-process runners serve their workers from the artifact
+    the pipeline's linker already built in memory: each run encodes
+    the ontology once, not once more for the workers."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda directory: run_mp_load(
+                scale=TINY, seed=1, clients=1, duration_s=0.2,
+                worker_counts=(1,), artifact_dir=directory, verbose=False,
+            ),
+            lambda directory: run_obs_overhead_mp(
+                scale=TINY, seed=1, queries_per_trial=2, trials=1,
+                workers=1, artifact_dir=directory, verbose=False,
+            ),
+        ],
+        ids=["mp_load", "obs_overhead_mp"],
+    )
+    def test_one_artifact_build_per_run(self, run, tmp_path, monkeypatch):
+        builds = []
+        build_artifact = compile_module.build_artifact
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build_artifact(*args, **kwargs)
+
+        monkeypatch.setattr(compile_module, "build_artifact", counting)
+        run(str(tmp_path / "artifact"))
+        assert len(builds) == 1

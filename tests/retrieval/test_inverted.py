@@ -14,6 +14,10 @@ document = st.lists(token, min_size=1, max_size=8)
 corpus = st.lists(document, min_size=1, max_size=16)
 
 
+def as_pairs(matches):
+    return [(match.key, match.score) for match in matches]
+
+
 def build_pair(documents):
     keyed = [(f"C{i}", doc) for i, doc in enumerate(documents)]
     exact = TfIdfIndex().fit(keyed)
@@ -26,9 +30,12 @@ class TestBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(corpus, document, st.integers(min_value=1, max_value=12))
     def test_search_equals_exact_scan(self, documents, query, k):
-        """Same hit set, same order, same float scores — dataclass ==."""
+        """Same hit set, same order, same float scores — dataclass ==,
+        through both entry points (``top_k`` is the Phase-I one)."""
         exact, fast = build_pair(documents)
-        assert fast.search(query, k=k) == exact.search(query, k=k)
+        expected = exact.search(query, k=k)
+        assert fast.search(query, k=k) == expected
+        assert fast.top_k(query, k=k) == as_pairs(expected)
 
     def test_large_tie_plateau_uses_partition_path(self):
         """> _FULL_SORT_LIMIT touched docs with equal scores: the
@@ -36,11 +43,31 @@ class TestBitIdentity:
         documents = [(i, ["shared"]) for i in range(4300)]
         exact = TfIdfIndex().fit(documents)
         fast = InvertedIndex.build(documents)
-        assert fast.search(["shared"], k=7) == exact.search(["shared"], k=7)
+        expected = exact.search(["shared"], k=7)
+        assert fast.search(["shared"], k=7) == expected
+        assert fast.top_k(["shared"], k=7) == as_pairs(expected)
+
+    @pytest.mark.parametrize(
+        "query,k",
+        [
+            (["a", "b"], 2),  # ties at the k-th cosine
+            (["a"], 12),  # k above the touched count
+            (["a", "zzz", "a"], 3),  # an unknown term among known ones
+        ],
+    )
+    def test_ties_wide_k_and_unknown_terms(self, query, k):
+        exact, fast = build_pair(
+            [["a", "b"], ["b", "a"], ["a", "b"], ["c"], ["a", "c", "c"]]
+        )
+        expected = exact.search(query, k=k)
+        assert fast.search(query, k=k) == expected
+        assert fast.top_k(query, k=k) == as_pairs(expected)
 
     def test_no_overlap_returns_empty(self):
         _, fast = build_pair([["alpha", "beta"]])
         assert fast.search(["gamma"], k=3) == []
+        assert fast.top_k(["gamma"], k=3) == []
+        assert fast.top_k([], k=3) == []
 
 
 class TestSparseHits:

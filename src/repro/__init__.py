@@ -5,8 +5,9 @@ Networks in Healthcare", SIGMOD 2018.  The package implements the full
 system from first principles on NumPy:
 
 * :mod:`repro.core` — the COM-AID encode-decode network with text and
-  structure attention, its trainer, the two-phase online linker, and
-  the expert-feedback controller;
+  structure attention, its trainer, and the two-phase online linker;
+* :mod:`repro.lifecycle` — the expert-feedback loop: uncertainty pool,
+  Timon review page, retrain and blue/green swap;
 * :mod:`repro.engine` — precompiled concept artifacts and the concept
   engine that links over them;
 * :mod:`repro.embeddings` — CBOW pre-training with concept-id

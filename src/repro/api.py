@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 #: surface grows compatibly, the major when anything is removed or
 #: changes shape.  ``tools/check_api.py`` pins the exported surface to
 #: this value.
-API_VERSION = "1.10"
+API_VERSION = "1.11"
 
 #: Lazily resolved re-exports: public name → (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {
@@ -48,13 +48,12 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "LifecycleConfig": ("repro.core.config", "LifecycleConfig"),
     "RuntimeConfig": ("repro.core.config", "RuntimeConfig"),
     "PAPER_DEFAULTS": ("repro.core.config", "PAPER_DEFAULTS"),
-    # model, trainer, linker, feedback
+    # model, trainer, linker
     "ComAid": ("repro.core.comaid", "ComAid"),
     "ComAidTrainer": ("repro.core.trainer", "ComAidTrainer"),
     "NeuralConceptLinker": ("repro.core.linker", "NeuralConceptLinker"),
     "LinkResult": ("repro.core.linker", "LinkResult"),
     "RankedConcept": ("repro.core.linker", "RankedConcept"),
-    "FeedbackController": ("repro.core.feedback", "FeedbackController"),
     # substrates
     "Concept": ("repro.ontology.concept", "Concept"),
     "Ontology": ("repro.ontology.ontology", "Ontology"),

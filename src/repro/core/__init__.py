@@ -8,8 +8,9 @@
 * :class:`NeuralConceptLinker` — the two-phase online linker
   (Section 5): TF-IDF candidate generation with query rewriting, then
   COM-AID re-ranking.
-* :class:`FeedbackController` — uncertainty pooling and incremental
-  retraining (Appendix A).
+
+The Appendix-A feedback loop (uncertainty pool, Timon review page,
+retrain and swap) lives in :mod:`repro.lifecycle`.
 """
 
 from repro.core.checkpoint import (
@@ -23,7 +24,6 @@ from repro.core.checkpoint import (
 from repro.core.comaid import ComAid
 from repro.core.config import ComAidConfig, LinkerConfig, TrainingConfig, PAPER_DEFAULTS
 from repro.core.candidates import CandidateGenerator
-from repro.core.feedback import FeedbackController, FeedbackItem
 from repro.core.linker import LinkResult, NeuralConceptLinker
 from repro.core.persistence import (
     load_pipeline,
@@ -31,7 +31,6 @@ from repro.core.persistence import (
     verify_pipeline,
 )
 from repro.core.rewriter import QueryRewriter
-from repro.core.timon import parse_review_csv, render_review_page
 from repro.core.trainer import ComAidTrainer
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "ComAid",
     "ComAidConfig",
     "ComAidTrainer",
-    "FeedbackController",
-    "FeedbackItem",
     "latest_checkpoint",
     "LinkResult",
     "LinkerConfig",
@@ -54,7 +51,5 @@ __all__ = [
     "verify_pipeline",
     "PAPER_DEFAULTS",
     "QueryRewriter",
-    "parse_review_csv",
-    "render_review_page",
     "TrainingConfig",
 ]

@@ -8,7 +8,7 @@ with mini-batch gradient descent and global-norm clipping.
 The trainer also supports *incremental* training on newly collected
 feedback pairs (Appendix A): :meth:`continue_training` runs additional
 epochs over extra examples without re-initialising parameters, which is
-what the feedback controller triggers.
+what the lifecycle controller's retrain and the Figure 10 runner call.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ class ComAidTrainer:
     ) -> None:
         """Incrementally train the fitted model on ``extra_pairs``.
 
-        This is the feedback-controller retraining hook (Appendix A):
+        This is the feedback loop's retraining step (Appendix A):
         parameters are *not* re-initialised, so representation shifts
         can be observed between snapshots (Figure 10).  With
         ``checkpoint_dir``/``checkpoint_every`` the incremental epochs

@@ -22,10 +22,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.feedback import FeedbackController
 from repro.eval.experiments.scale import SMALL, ExperimentScale
 from repro.eval.harness import build_pipeline
 from repro.eval.reporting import emit
+from repro.lifecycle.pool import UncertaintyPool
 from repro.ontology.paths import structural_context
 from repro.text.tokenize import tokenize
 from repro.utils.rng import derive_rng, ensure_rng
@@ -61,7 +61,8 @@ def run(
     """Feed ``n_feedbacks`` expert labels one at a time, snapshotting.
 
     Feedback queries are drawn from held-out evaluation queries whose
-    initial linking was wrong or uncertain — the queries Timon would
+    initial linking was wrong or uncertain under the serving pool's
+    rule (:meth:`UncertaintyPool.classify`) — the queries Timon would
     pool.
     """
     generator = ensure_rng(seed)
@@ -75,18 +76,13 @@ def run(
     )
     model, trainer, linker = pipeline.model, pipeline.trainer, pipeline.linker
 
-    controller = FeedbackController(
-        dataset.kb,
-        loss_threshold=8.0,
-        std_threshold=0.25,
-        retrain_after=10**9,  # we trigger retraining manually per step
-    )
+    pool = UncertaintyPool(loss_threshold=8.0)
     # Pool uncertain/wrong queries as feedback candidates.
     candidates: List[Tuple[str, str]] = []
     for query in dataset.queries[: scale.eval_queries]:
         result = linker.link(query.text)
         top = result.top
-        if top is None or top.cid != query.cid or controller.assess(result).uncertain:
+        if top is None or top.cid != query.cid or pool.classify(result) is not None:
             candidates.append((query.text, query.cid))
         if len(candidates) >= n_feedbacks:
             break
@@ -140,7 +136,7 @@ def run(
     previous_words = word_matrix()
     for text, cid in candidates[:n_feedbacks]:
         loss_before = pair_loss(text, cid)
-        pair = controller.resolve(text, cid)
+        pair = dataset.kb.add_feedback(text, cid)
         trainer.continue_training([pair], epochs=retrain_epochs)
         linker.swap_engine(model, None)  # recompile for the new weights
         loss_after = pair_loss(text, cid)

@@ -72,6 +72,22 @@ class KnowledgeBase:
         """Register many aliases; returns the number actually stored."""
         return sum(int(self.add_alias(cid, alias)) for alias in aliases)
 
+    def add_feedback(self, query: str, cid: str) -> TrainingPair:
+        """Record an expert's verdict that ``query`` means ``cid``.
+
+        Appendix A's resolve step: the normalised query is appended to
+        the concept's aliases (Figure 9(c)), so Phase I retrieval finds
+        it before any retrain, and the returned pair is the new labeled
+        training example.  Raises ``KeyError`` for an unknown cid and
+        :class:`DataError` for a query that normalises to nothing.
+        """
+        self.add_alias(cid, query)
+        return TrainingPair(
+            cid=cid,
+            canonical=normalize_text(self._ontology.get(cid).description),
+            alias=normalize_text(query),
+        )
+
     def aliases_of(self, cid: str) -> Tuple[str, ...]:
         """Stored aliases of ``cid`` (empty tuple when none)."""
         self._ontology.get(cid)

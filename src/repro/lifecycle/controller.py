@@ -34,7 +34,6 @@ from repro.core.trainer import ComAidTrainer
 from repro.kb.knowledge_base import KnowledgeBase, TrainingPair
 from repro.lifecycle.pool import UncertaintyPool
 from repro.lifecycle.swap import ArtifactSwapper, LifecycleError
-from repro.text.tokenize import normalize_text
 from repro.utils.errors import DataError
 from repro.utils.logging import get_logger
 
@@ -92,20 +91,11 @@ class LifecycleController:
     def resolve(self, query: str, cid: str) -> TrainingPair:
         """Expert verdict: ``query`` means concept ``cid``.
 
-        Registers the alias in the knowledge base (so Phase I keyword
-        retrieval benefits immediately, before any retrain) and stages
-        a training pair for the next fine-tune.
+        :meth:`KnowledgeBase.add_feedback` registers the alias (so
+        Phase I keyword retrieval benefits immediately, before any
+        retrain); its training pair is staged for the next fine-tune.
         """
-        concept = self.kb.ontology.get(cid)
-        normalized = normalize_text(query)
-        if not normalized:
-            raise DataError(f"query {query!r} normalises to nothing")
-        self.kb.add_alias(cid, normalized)
-        pair = TrainingPair(
-            cid=cid,
-            canonical=normalize_text(concept.description),
-            alias=normalized,
-        )
+        pair = self.kb.add_feedback(query, cid)
         with self._lock:
             self._staged_pairs.append(pair)
             self._resolved += 1

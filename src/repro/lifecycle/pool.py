@@ -14,6 +14,10 @@ queries with certainty.
 Degraded results (Phase II failed or overran; scores are keyword-only)
 are never pooled: their ``log_prob`` values carry no model signal, so
 "uncertainty" computed from them would be noise.
+
+This is the loop's only uncertainty rule: serving, the offline Timon
+review page (:mod:`repro.lifecycle.timon`) and the Figure 10 runner
+all classify with :meth:`UncertaintyPool.classify`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +37,11 @@ from repro.utils.errors import ConfigurationError
 class PooledQuery:
     """One uncertain query awaiting expert resolution.
 
-    ``hits`` counts how many times the same query text re-triggered a
-    criterion while pooled — a cheap popularity signal the expert UI
-    can sort by (a hard query asked 40 times outranks one asked once).
+    ``candidates`` holds the ranked ``(cid, loss)`` pairs, which the
+    Timon review page shows beside the query (Figure 9).  ``hits``
+    counts how many times the same query text re-triggered a criterion
+    while pooled — a cheap popularity signal the expert UI can sort by
+    (a hard query asked 40 times outranks one asked once).
     """
 
     query: str
@@ -43,18 +49,8 @@ class PooledQuery:
     top_loss: float
     margin: float
     reason: str
+    candidates: Tuple[Tuple[str, float], ...] = ()
     hits: int = field(default=1)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """A JSON-ready view for status payloads and expert tooling."""
-        return {
-            "query": self.query,
-            "top_cid": self.top_cid,
-            "top_loss": self.top_loss,
-            "margin": self.margin,
-            "reason": self.reason,
-            "hits": self.hits,
-        }
 
 
 class UncertaintyPool:
@@ -124,6 +120,7 @@ class UncertaintyPool:
                 if len(result.ranked) >= 2
                 else math.inf
             )
+            candidates = tuple((c.cid, c.loss) for c in result.ranked)
             existing = self._items.get(result.query)
             if existing is not None:
                 existing.hits += 1
@@ -131,6 +128,7 @@ class UncertaintyPool:
                 existing.top_loss = top.loss
                 existing.margin = margin
                 existing.reason = reason
+                existing.candidates = candidates
                 self._duplicates += 1
                 return reason
             self._uncertain_seen += 1
@@ -140,6 +138,7 @@ class UncertaintyPool:
                 top_loss=top.loss,
                 margin=margin,
                 reason=reason,
+                candidates=candidates,
             )
             if len(self._items) < self.capacity:
                 self._items[result.query] = entry

@@ -1,8 +1,8 @@
 """Parameter (de)serialisation to ``.npz``.
 
-The feedback controller retrains COM-AID and takes representation
-snapshots (paper Appendix A.2); snapshots and trained models round-trip
-through these helpers.
+The feedback loop retrains COM-AID and takes representation snapshots
+(paper Appendix A.2); snapshots and trained models round-trip through
+these helpers.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
-"""Tests for the feedback controller (paper Appendix A)."""
+"""Tests for the Appendix-A feedback loop's two steps: the uncertainty
+rule (:meth:`UncertaintyPool.classify`) and the resolve step
+(:meth:`KnowledgeBase.add_feedback`)."""
 
 import pytest
 
-from repro.core.feedback import FeedbackController
 from repro.core.linker import LinkResult, RankedConcept
-from repro.kb.knowledge_base import KnowledgeBase, TrainingPair
-from repro.utils.errors import ConfigurationError, DataError
+from repro.kb.knowledge_base import KnowledgeBase
+from repro.lifecycle.pool import UncertaintyPool
+from repro.utils.errors import DataError
 
 
 def make_result(query, scored):
@@ -24,108 +26,59 @@ def make_result(query, scored):
 
 
 @pytest.fixture
-def controller(figure1_ontology):
-    kb = KnowledgeBase(figure1_ontology)
-    return FeedbackController(
-        kb, loss_threshold=10.0, std_threshold=0.5, retrain_after=2
-    )
+def pool():
+    return UncertaintyPool(loss_threshold=10.0, margin_threshold=0.5)
+
+
+@pytest.fixture
+def kb(figure1_ontology):
+    return KnowledgeBase(figure1_ontology)
 
 
 class TestUncertainty:
-    def test_confident_result(self, controller):
+    def test_confident_result(self, pool):
         result = make_result("q", [("D50.0", -2.0), ("D53.0", -9.0)])
-        assessment = controller.assess(result)
-        assert not assessment.uncertain
+        assert pool.classify(result) is None
 
-    def test_high_loss_pools(self, controller):
+    def test_high_loss_pools(self, pool):
         # Appendix A: high Loss = -log p means inaccurate linkage risk.
         result = make_result("q", [("D50.0", -15.0), ("D53.0", -30.0)])
-        assert controller.assess(result).uncertain
+        assert pool.classify(result) == "loss"
 
-    def test_low_std_pools(self, controller):
-        # Close losses mean indistinguishable candidates.
-        result = make_result("q", [("D50.0", -5.0), ("D53.0", -5.1)])
-        assessment = controller.assess(result)
-        assert assessment.uncertain
-        assert "std" in assessment.reason
-
-    def test_empty_result_pools(self, controller):
-        assert controller.assess(make_result("q", [])).uncertain
-
-    def test_single_candidate_no_std_signal(self, controller):
+    def test_single_candidate_no_std_signal(self, pool):
+        # A lone candidate has no runner-up to tie with: only its loss counts.
         result = make_result("q", [("D50.0", -3.0)])
-        assert not controller.assess(result).uncertain
+        assert pool.classify(result) is None
 
 
 class TestPooling:
-    def test_submit_pools_uncertain_only(self, controller):
-        assert controller.submit(make_result("bad", [("D50.0", -20.0)]))
-        assert not controller.submit(
+    def test_submit_pools_uncertain_only(self, pool):
+        assert pool.observe(make_result("bad", [("D50.0", -20.0)])) == "loss"
+        assert pool.observe(
             make_result("good", [("D50.0", -1.0), ("D53.0", -8.0)])
-        )
-        assert len(controller.pool) == 1
-        assert controller.pool[0].query == "bad"
-
-    def test_pool_limit(self, figure1_ontology):
-        kb = KnowledgeBase(figure1_ontology)
-        controller = FeedbackController(kb, pool_limit=1)
-        controller.submit(make_result("one", [("D50.0", -20.0)]))
-        assert not controller.submit(make_result("two", [("D50.0", -20.0)]))
+        ) is None
+        [item] = pool.items()
+        assert item.query == "bad"
+        assert item.candidates == (("D50.0", 20.0),)
 
 
 class TestResolution:
-    def test_resolve_appends_alias(self, controller):
-        controller.submit(make_result("breast lump for investigation", [("D50.0", -20.0)]))
-        pair = controller.resolve("breast lump for investigation", "N18.5")
+    def test_resolve_appends_alias(self, pool, kb):
+        query = "breast lump for investigation"
+        pool.observe(make_result(query, [("D50.0", -20.0)]))
+        [item] = pool.drain()
+        pair = kb.add_feedback(item.query, "N18.5")
         assert pair.cid == "N18.5"
-        assert "breast lump for investigation" in controller.kb.aliases_of("N18.5")
-        assert controller.pool == ()  # removed from pool
+        assert pair.alias == query
+        assert pair.canonical == "chronic kidney disease stage 5"
+        assert query in kb.aliases_of("N18.5")
+        assert len(pool) == 0  # drained queries have left the pool
 
-    def test_resolve_unknown_concept(self, controller):
+    def test_resolve_unknown_concept(self, kb):
         with pytest.raises(KeyError):
-            controller.resolve("query", "Z99")
+            kb.add_feedback("query", "Z99")
 
-    def test_resolve_empty_query(self, controller):
+    def test_resolve_empty_query(self, kb):
         with pytest.raises(DataError):
-            controller.resolve(",;", "N18.5")
-
-    def test_retrain_triggered_at_threshold(self, figure1_ontology):
-        kb = KnowledgeBase(figure1_ontology)
-        received = []
-        controller = FeedbackController(
-            kb, retrain_after=2, retrain_hook=lambda pairs: received.append(list(pairs))
-        )
-        controller.resolve("ckd five", "N18.5")
-        assert controller.retrain_count == 0
-        controller.resolve("renal failure terminal", "N18.5")
-        assert controller.retrain_count == 1
-        assert len(received) == 1
-        assert len(received[0]) == 2
-        assert controller.pending_pairs == ()
-
-    def test_flush(self, figure1_ontology):
-        kb = KnowledgeBase(figure1_ontology)
-        received = []
-        controller = FeedbackController(
-            kb, retrain_after=100, retrain_hook=lambda pairs: received.append(len(pairs))
-        )
-        controller.resolve("ckd five", "N18.5")
-        assert controller.flush() == 1
-        assert received == [1]
-        assert controller.flush() == 0
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(loss_threshold=0.0),
-            dict(std_threshold=-1.0),
-            dict(retrain_after=0),
-            dict(pool_limit=0),
-        ],
-    )
-    def test_invalid_config(self, figure1_ontology, kwargs):
-        kb = KnowledgeBase(figure1_ontology)
-        with pytest.raises(ConfigurationError):
-            FeedbackController(kb, **kwargs)
+            kb.add_feedback(",;", "N18.5")
+        assert kb.aliases_of("N18.5") == ()

@@ -2,24 +2,32 @@
 
 import pytest
 
-from repro.core.feedback import FeedbackController, FeedbackItem
-from repro.core.timon import parse_review_csv, render_review_page
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.lifecycle.pool import PooledQuery
+from repro.lifecycle.timon import parse_review_csv, render_review_page
 from repro.utils.errors import DataError
+
+
+def pooled(query, candidates):
+    """A PooledQuery over ranked ``(cid, loss)`` pairs."""
+    top_cid, top_loss = candidates[0]
+    return PooledQuery(
+        query=query,
+        top_cid=top_cid,
+        top_loss=top_loss,
+        margin=0.0,
+        reason="margin",
+        candidates=tuple(candidates),
+    )
 
 
 def pooled_items():
     return [
-        FeedbackItem(
-            query="breast lump for investigation",
-            candidate_cids=("D50.0", "N18.5", "R10.0"),
-            losses=(14.2, 14.5, 18.0),
+        pooled(
+            "breast lump for investigation",
+            [("D50.0", 14.2), ("N18.5", 14.5), ("R10.0", 18.0)],
         ),
-        FeedbackItem(
-            query="ckd five",
-            candidate_cids=("N18.5", "N18.9"),
-            losses=(6.1, 6.2),
-        ),
+        pooled("ckd five", [("N18.5", 6.1), ("N18.9", 6.2)]),
     ]
 
 
@@ -35,13 +43,7 @@ class TestRenderReviewPage:
         assert 'input type="text"' in page  # free-text "other concept"
 
     def test_escapes_html(self, figure1_ontology, tmp_path):
-        items = [
-            FeedbackItem(
-                query="<script>alert(1)</script>",
-                candidate_cids=("D50.0",),
-                losses=(3.0,),
-            )
-        ]
+        items = [pooled("<script>alert(1)</script>", [("D50.0", 3.0)])]
         path = tmp_path / "timon.html"
         render_review_page(items, figure1_ontology, path)
         page = path.read_text(encoding="utf-8")
@@ -49,11 +51,7 @@ class TestRenderReviewPage:
         assert "&lt;script&gt;" in page
 
     def test_unknown_candidate_skipped(self, figure1_ontology, tmp_path):
-        items = [
-            FeedbackItem(
-                query="query", candidate_cids=("ZZZ", "D50.0"), losses=(1.0, 2.0)
-            )
-        ]
+        items = [pooled("query", [("ZZZ", 1.0), ("D50.0", 2.0)])]
         path = tmp_path / "timon.html"
         render_review_page(items, figure1_ontology, path)
         page = path.read_text(encoding="utf-8")
@@ -68,7 +66,6 @@ class TestRenderReviewPage:
 class TestParseReviewCsv:
     def test_resolves_valid_rows(self, figure1_ontology, tmp_path):
         kb = KnowledgeBase(figure1_ontology)
-        controller = FeedbackController(kb, retrain_after=100)
         path = tmp_path / "decisions.csv"
         path.write_text(
             "query,cid\n"
@@ -76,14 +73,13 @@ class TestParseReviewCsv:
             "scurvy like anemia,D53.2\n",
             encoding="utf-8",
         )
-        resolved, rejected = parse_review_csv(controller, path)
+        resolved, rejected = parse_review_csv(kb.add_feedback, path)
         assert len(resolved) == 2
         assert rejected == []
         assert "breast lump for investigation" in kb.aliases_of("N18.5")
 
     def test_rejects_bad_rows_without_losing_good(self, figure1_ontology, tmp_path):
         kb = KnowledgeBase(figure1_ontology)
-        controller = FeedbackController(kb, retrain_after=100)
         path = tmp_path / "decisions.csv"
         path.write_text(
             "good query,D50.0\n"
@@ -92,6 +88,6 @@ class TestParseReviewCsv:
             "\n",
             encoding="utf-8",
         )
-        resolved, rejected = parse_review_csv(controller, path)
+        resolved, rejected = parse_review_csv(kb.add_feedback, path)
         assert len(resolved) == 1
         assert len(rejected) == 2

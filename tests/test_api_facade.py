@@ -21,9 +21,10 @@ class TestSurface:
         # 1.9 one engine for every linker, which dropped
         # LinkerConfig.encoding_cache_size and TenantConfig.cache_budget,
         # 1.10 two retrieval modes, which folded RetrievalConfig into
-        # LinkerConfig.retrieval_mode); the major component is the /v1
-        # route contract.
-        assert api.API_VERSION == "1.10"
+        # LinkerConfig.retrieval_mode, 1.11 one Appendix-A feedback
+        # loop, which dropped FeedbackController); the major component
+        # is the /v1 route contract.
+        assert api.API_VERSION == "1.11"
         assert api.API_VERSION.split(".")[0] == "1"
 
     def test_every_exported_name_resolves(self):
@@ -66,7 +67,6 @@ class TestDeprecationShims:
         "ComAidConfig",
         "ComAidTrainer",
         "Concept",
-        "FeedbackController",
         "KnowledgeBase",
         "LinkerConfig",
         "NeuralConceptLinker",

@@ -10,14 +10,14 @@ import pytest
 from repro.api import (
     ComAidConfig,
     ComAidTrainer,
-    FeedbackController,
     LinkerConfig,
     NeuralConceptLinker,
     TrainingConfig,
+    UncertaintyPool,
     hospital_x_like,
     pretrain_word_vectors,
 )
-from repro.core.timon import parse_review_csv, render_review_page
+from repro.lifecycle.timon import parse_review_csv, render_review_page
 from repro.embeddings import CbowConfig
 from repro.eval.metrics import top1_accuracy
 from repro.nn.serialization import load_module, save_module
@@ -80,28 +80,26 @@ class TestEndToEnd:
 
     def test_feedback_cycle_through_timon_artifacts(self, stack, tmp_path):
         dataset, _, trainer, _, linker = stack
-        controller = FeedbackController(
-            dataset.kb, loss_threshold=8.0, std_threshold=0.3,
-            retrain_after=10**9,
-        )
+        pool = UncertaintyPool(loss_threshold=8.0)
         pooled = []
         for query in dataset.queries[:40]:
-            result = linker.link(query.text)
-            if controller.submit(result):
+            if pool.observe(linker.link(query.text)) is not None:
                 pooled.append(query)
             if len(pooled) >= 3:
                 break
-        if not pooled:
-            pytest.skip("no uncertain queries at this seed")
-        # Render the Timon page, then simulate the expert's CSV export.
+        assert pooled, "no query among the first 40 pooled"
+        # Render the drained pool as a Timon page, then simulate the
+        # expert's CSV export.
+        items = pool.drain()
         page_path = tmp_path / "timon.html"
-        rendered = render_review_page(controller.pool, dataset.ontology, page_path)
-        assert rendered == len(controller.pool)
+        rendered = render_review_page(items, dataset.ontology, page_path)
+        assert rendered == len(items) > 0
+        assert len(pool) == 0
         csv_path = tmp_path / "decisions.csv"
         csv_path.write_text(
             "".join(f"{q.text},{q.cid}\n" for q in pooled), encoding="utf-8"
         )
-        resolved, rejected = parse_review_csv(controller, csv_path)
+        resolved, rejected = parse_review_csv(dataset.kb.add_feedback, csv_path)
         assert rejected == []
         assert len(resolved) == len(pooled)
         # Incremental retraining consumes the feedback.
